@@ -21,10 +21,17 @@ gather/reduce scratch in the matrix's ``backend_cache`` (keyed on the
 and the dense GEMV kernels write through ``np.dot(..., out=...)`` /
 caller-provided ``work`` buffers.  The arithmetic — gather, multiply,
 segmented reduce — is bit-identical to the allocating path.
+
+Thread safety: one matrix may be shared by threads (several solves, or
+several farm keys, on one operator).  Each plan carries a
+``threading.Lock`` that a kernel holds exactly while it uses the plan's
+scratch, so concurrent products on one matrix serialize on that scratch
+instead of overwriting each other's partial results.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -174,7 +181,8 @@ def _spmv_plan(matrix: "CsrMatrix") -> Optional[dict]:
     The plan is keyed on the identity of the matrix's ``indptr`` array
     (matrices are treated as structurally immutable); ``rows`` is ``None``
     when every row is non-empty, which skips the zero-fill and the fancy
-    scatter on the hot path.
+    scatter on the hot path.  ``lock`` guards ``scratch`` and the lazily
+    built DIA view: hold it while using either.
     """
     cache = getattr(matrix, "backend_cache", None)
     if cache is None:
@@ -190,6 +198,7 @@ def _spmv_plan(matrix: "CsrMatrix") -> Optional[dict]:
             "indices": np.ascontiguousarray(matrix.indices, dtype=np.intp),
             "rows": None if nonempty.all() else np.flatnonzero(nonempty),
             "scratch": {},
+            "lock": threading.Lock(),
         }
         cache[_SPMV_PLAN_KEY] = plan
     return plan
@@ -210,8 +219,9 @@ def _dia_plan(matrix: "CsrMatrix", plan: dict) -> Optional[dict]:
     X[lo+d:hi+d]`` — which is how the batched product actually amortizes
     the matrix traversal on this backend (the CSR gather/reduceat path
     costs more than ``k`` independent SpMVs).  Built lazily, once per
-    matrix; matrices whose diagonal count or padding blow-up exceeds the
-    thresholds are marked ineligible and use the gather path.
+    matrix, under ``plan["lock"]``; matrices whose diagonal count or
+    padding blow-up exceeds the thresholds are marked ineligible and use
+    the gather path.
     """
     dia = plan.get("dia", None)
     if dia is False:
@@ -250,6 +260,7 @@ def _dia_spmm(
     Fortran-ordered blocks the solvers pass (Krylov basis panels) are
     C-contiguous views and every slice update runs buffer-free; blocks in
     other layouts are staged through cached scratch column by column.
+    The caller holds the owning plan's lock.
     """
     n_rows, n_cols = matrix.shape
     k = X.shape[1]
@@ -315,6 +326,100 @@ def _dia_spmm(
     return out
 
 
+def _csr_spmv(
+    matrix: "CsrMatrix", plan: dict, x: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Gather SpMV through the plan's cached scratch (caller holds its lock)."""
+    nnz = matrix.data.size
+    dtype = x.dtype
+    starts = plan["starts"]
+    rows = plan["rows"]
+    scratch = plan["scratch"]
+    if rows is None:
+        # Every row non-empty: the segmented reduce maps 1:1 onto the
+        # output, so reduceat writes straight into `out` — no sums
+        # buffer, no copy.
+        prod = scratch.get(dtype.str)
+        if prod is None:
+            prod = scratch[dtype.str] = np.empty(nnz, dtype=dtype)
+        sums = out
+    else:
+        bufs = scratch.get(dtype.str)
+        if bufs is None:
+            bufs = scratch[dtype.str] = (
+                np.empty(nnz, dtype=dtype),
+                np.empty(starts.size, dtype=dtype),
+            )
+        prod, sums = bufs
+    # Same gather → multiply → segmented-reduce sequence as the module
+    # reference above, so the result is bit-identical; only the
+    # temporaries are reused.
+    # mode="clip" lets np.take write straight into `prod` (the default
+    # "raise" mode gathers into an internal buffer first); CSR column
+    # indices are validated in-range at construction, so clipping never
+    # alters a value.
+    np.take(x, plan["indices"], out=prod, mode="clip")
+    np.multiply(matrix.data, prod, out=prod)
+    np.add.reduceat(prod, starts, out=sums)
+    if rows is not None:
+        out[:] = 0
+        out[rows] = sums
+    return out
+
+
+def _csr_spmm(
+    matrix: "CsrMatrix", plan: dict, X: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Gather SpMM through the plan's cached scratch (caller holds its lock)."""
+    n_rows, k = matrix.shape[0], X.shape[1]
+    if out.shape != (n_rows, k):
+        raise ValueError("output block has wrong shape")
+    nnz = matrix.data.size
+    if nnz == 0 or k == 0:
+        out[:] = 0
+        return out
+    dtype = X.dtype
+    starts = plan["starts"]
+    rows = plan["rows"]
+    scratch = plan["scratch"]
+    key = ("spmm", dtype.str, k)
+    bufs = scratch.get(key)
+    if bufs is None:
+        bufs = scratch[key] = (
+            np.empty((X.shape[0], k), dtype=dtype),  # C-contiguous gather source
+            np.empty((nnz, k), dtype=dtype),
+            np.empty((starts.size, k), dtype=dtype),
+        )
+    Xc, prod, sums = bufs
+    # Gathering rows of a C-contiguous block is cache-friendly; copying a
+    # Fortran-ordered operand (the Krylov basis) once costs n*k, the
+    # gather costs nnz*k, so the copy pays for itself.  Copies between
+    # mixed C/F layouts go column by column: a 2-D mixed-layout ufunc
+    # falls back to internal buffering, a transient allocation the
+    # steady-state contract forbids.
+    if X.flags.c_contiguous:
+        source = X
+    else:
+        _copy_block(Xc, X)
+        source = Xc
+    # Same gather → multiply → segmented-reduce sequence as the module
+    # reference above (elementwise product is commutative), so results
+    # are bit-identical; only the temporaries are reused.
+    np.take(source, plan["indices"], axis=0, out=prod, mode="clip")
+    # Column-wise multiply: broadcasting data[:, None] against the 2-D
+    # product block would buffer internally (transient allocation); the
+    # 1-D columns multiply buffer-free and bit-identically.
+    for c in range(k):
+        np.multiply(matrix.data, prod[:, c], out=prod[:, c])
+    np.add.reduceat(prod, starts, axis=0, out=sums)
+    if rows is None:
+        _copy_block(out, sums)
+    else:
+        out[:] = 0
+        out[rows, :] = sums
+    return out
+
+
 class NumpyBackend(KernelBackend):
     """Reference backend: every kernel is the vectorised NumPy ground truth."""
 
@@ -335,47 +440,14 @@ class NumpyBackend(KernelBackend):
         if out.shape[0] != matrix.shape[0]:
             raise ValueError("output vector has wrong length")
         if x.shape[0] != matrix.shape[1]:
-            # The clipped gather below would silently fold out-of-range
-            # column indices onto x[-1] instead of raising.
+            # The clipped gather in _csr_spmv would silently fold
+            # out-of-range column indices onto x[-1] instead of raising.
             raise ValueError("input vector has wrong length")
-        nnz = matrix.data.size
-        if nnz == 0:
+        if matrix.data.size == 0:
             out[:] = 0
             return out
-        dtype = x.dtype
-        starts = plan["starts"]
-        rows = plan["rows"]
-        scratch = plan["scratch"]
-        if rows is None:
-            # Every row non-empty: the segmented reduce maps 1:1 onto the
-            # output, so reduceat writes straight into `out` — no sums
-            # buffer, no copy.
-            prod = scratch.get(dtype.str)
-            if prod is None:
-                prod = scratch[dtype.str] = np.empty(nnz, dtype=dtype)
-            sums = out
-        else:
-            bufs = scratch.get(dtype.str)
-            if bufs is None:
-                bufs = scratch[dtype.str] = (
-                    np.empty(nnz, dtype=dtype),
-                    np.empty(starts.size, dtype=dtype),
-                )
-            prod, sums = bufs
-        # Same gather → multiply → segmented-reduce sequence as the module
-        # reference above, so the result is bit-identical; only the
-        # temporaries are reused.
-        # mode="clip" lets np.take write straight into `prod` (the default
-        # "raise" mode gathers into an internal buffer first); CSR column
-        # indices are validated in-range at construction, so clipping never
-        # alters a value.
-        np.take(x, plan["indices"], out=prod, mode="clip")
-        np.multiply(matrix.data, prod, out=prod)
-        np.add.reduceat(prod, starts, out=sums)
-        if rows is not None:
-            out[:] = 0
-            out[rows] = sums
-        return out
+        with plan["lock"]:
+            return _csr_spmv(matrix, plan, x, out)
 
     def spmv_transpose(
         self,
@@ -400,58 +472,13 @@ class NumpyBackend(KernelBackend):
             raise ValueError("input block has wrong number of rows")
         plan = _spmv_plan(matrix) if matrix.data.dtype == X.dtype else None
         if plan is not None:
-            dia = _dia_plan(matrix, plan)
-            if dia is not None:
-                return _dia_spmm(matrix, dia, X, out)
-        if plan is None or out is None:
-            return spmm(matrix.data, matrix.indices, matrix.indptr, X, out=out)
-        n_rows, k = matrix.shape[0], X.shape[1]
-        if out.shape != (n_rows, k):
-            raise ValueError("output block has wrong shape")
-        nnz = matrix.data.size
-        if nnz == 0 or k == 0:
-            out[:] = 0
-            return out
-        dtype = X.dtype
-        starts = plan["starts"]
-        rows = plan["rows"]
-        scratch = plan["scratch"]
-        key = ("spmm", dtype.str, k)
-        bufs = scratch.get(key)
-        if bufs is None:
-            bufs = scratch[key] = (
-                np.empty((X.shape[0], k), dtype=dtype),  # C-contiguous gather source
-                np.empty((nnz, k), dtype=dtype),
-                np.empty((starts.size, k), dtype=dtype),
-            )
-        Xc, prod, sums = bufs
-        # Gathering rows of a C-contiguous block is cache-friendly; copying a
-        # Fortran-ordered operand (the Krylov basis) once costs n*k, the
-        # gather costs nnz*k, so the copy pays for itself.  Copies between
-        # mixed C/F layouts go column by column: a 2-D mixed-layout ufunc
-        # falls back to internal buffering, a transient allocation the
-        # steady-state contract forbids.
-        if X.flags.c_contiguous:
-            source = X
-        else:
-            _copy_block(Xc, X)
-            source = Xc
-        # Same gather → multiply → segmented-reduce sequence as the module
-        # reference above (elementwise product is commutative), so results
-        # are bit-identical; only the temporaries are reused.
-        np.take(source, plan["indices"], axis=0, out=prod, mode="clip")
-        # Column-wise multiply: broadcasting data[:, None] against the 2-D
-        # product block would buffer internally (transient allocation); the
-        # 1-D columns multiply buffer-free and bit-identically.
-        for c in range(k):
-            np.multiply(matrix.data, prod[:, c], out=prod[:, c])
-        np.add.reduceat(prod, starts, axis=0, out=sums)
-        if rows is None:
-            _copy_block(out, sums)
-        else:
-            out[:] = 0
-            out[rows, :] = sums
-        return out
+            with plan["lock"]:
+                dia = _dia_plan(matrix, plan)
+                if dia is not None:
+                    return _dia_spmm(matrix, dia, X, out)
+                if out is not None:
+                    return _csr_spmm(matrix, plan, X, out)
+        return spmm(matrix.data, matrix.indices, matrix.indptr, X, out=out)
 
     # -------------------------------- dense --------------------------- #
     def gemv_transpose(

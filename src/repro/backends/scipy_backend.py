@@ -38,10 +38,15 @@ is importable (it has been stable across SciPy releases for a decade) the
 instruction sequence ``handle @ x`` would run, so results are bit-identical
 — and the solver hot path allocates nothing.  Otherwise the backend falls
 back to product-then-copy, which is still correct, just not allocation-free.
+
+The only per-matrix scratch here is the ``csr_matvecs`` staging blocks;
+like the NumPy plans, that cache carries a lock held while the blocks are
+in use, so threads may share one matrix.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -202,30 +207,30 @@ class ScipyBackend(NumpyBackend):
             # it wants row-major blocks, so non-C-contiguous operands go
             # through cached per-(dtype, k) scratch and the hot path
             # allocates nothing.
-            cache = getattr(matrix, "backend_cache", None)
-            scratch = None if cache is None else cache.setdefault(_SPMM_SCRATCH_KEY, {})
-            if X.flags.c_contiguous:
-                source = X
-            else:
-                source = self._spmm_buffer(scratch, ("x", X.dtype.str, k), X.shape)
-                _copy_block(source, X)
-            if out.flags.c_contiguous:
-                target = out
-            else:
-                target = self._spmm_buffer(scratch, ("y", out.dtype.str, k), out.shape)
-            target[:] = 0  # csr_matvecs accumulates Y += A X
-            _CSR_MATVECS(
-                handle.shape[0],
-                handle.shape[1],
-                k,
-                handle.indptr,
-                handle.indices,
-                handle.data,
-                source.ravel(),
-                target.ravel(),
-            )
-            if target is not out:
-                _copy_block(out, target)
+            scratch = self._spmm_scratch(matrix)
+            with scratch["lock"]:
+                if X.flags.c_contiguous:
+                    source = X
+                else:
+                    source = self._spmm_buffer(scratch, ("x", X.dtype.str, k), X.shape)
+                    _copy_block(source, X)
+                if out.flags.c_contiguous:
+                    target = out
+                else:
+                    target = self._spmm_buffer(scratch, ("y", out.dtype.str, k), out.shape)
+                target[:] = 0  # csr_matvecs accumulates Y += A X
+                _CSR_MATVECS(
+                    handle.shape[0],
+                    handle.shape[1],
+                    k,
+                    handle.indptr,
+                    handle.indices,
+                    handle.data,
+                    source.ravel(),
+                    target.ravel(),
+                )
+                if target is not out:
+                    _copy_block(out, target)
             return out
         Y = handle @ X
         if out is None:
@@ -234,10 +239,24 @@ class ScipyBackend(NumpyBackend):
         return out
 
     @staticmethod
-    def _spmm_buffer(scratch, key, shape):
-        """C-contiguous per-(dtype, k) staging block, cached on the matrix."""
+    def _spmm_scratch(matrix: "CsrMatrix") -> dict:
+        """The matrix's staging-block cache and the lock guarding it.
+
+        Objects without a ``backend_cache`` get a throwaway cache, so their
+        blocks are allocated per call.
+        """
+        cache = getattr(matrix, "backend_cache", None)
+        scratch = None if cache is None else cache.get(_SPMM_SCRATCH_KEY)
         if scratch is None:
-            return np.empty(shape, dtype=np.dtype(key[1]))
+            scratch = {"lock": threading.Lock()}
+            if cache is not None:
+                # setdefault is atomic: racing first calls share one cache.
+                scratch = cache.setdefault(_SPMM_SCRATCH_KEY, scratch)
+        return scratch
+
+    @staticmethod
+    def _spmm_buffer(scratch, key, shape):
+        """C-contiguous per-(dtype, k) staging block from ``scratch``."""
         buf = scratch.get(key)
         if buf is None or buf.shape != shape:
             buf = scratch[key] = np.empty(shape, dtype=np.dtype(key[1]))

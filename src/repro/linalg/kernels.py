@@ -63,6 +63,7 @@ omitted ``out``/``work``    the kernel allocates, exactly as before this
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional
 
@@ -100,7 +101,10 @@ class PrecisionMismatchError(TypeError):
     """Raised when a kernel receives operands of different precisions."""
 
 
+@functools.lru_cache(maxsize=None)
 def _precision_name(dtype: np.dtype) -> str:
+    # Cached: metering looks the name up on every kernel call, and
+    # as_precision's coercion chain is a measurable share of a metered solve.
     return as_precision(dtype).name
 
 

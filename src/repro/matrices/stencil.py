@@ -2,19 +2,22 @@
 
 The paper's PDE test problems are generated "with finite difference
 stencils via the Trilinos Galeri package"; these helpers play that role.
-Assembly is fully vectorised: coefficient arrays are laid out over the grid,
-neighbour links that would leave the domain are dropped (homogeneous
-Dirichlet boundaries), and the triplets go through
-:func:`repro.sparse.ops.coo_to_csr`.
+Assembly is fully vectorised and writes the CSR arrays directly: each node
+row holds its stencil links in ascending column-offset order, links that
+would leave the domain are dropped by grid position (homogeneous Dirichlet
+boundaries), and ``indptr`` is the running count of kept links.  Rows come
+out sorted and duplicate-free by construction, so no COO triplets are built
+and nothing is sorted or merged.  A link is kept or dropped by where it sits
+on the grid, never by its value, so explicit zero couplings are stored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..sparse.csr import CsrMatrix
+from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 
 __all__ = [
     "grid_shape_2d",
@@ -45,9 +48,39 @@ def grid_shape_3d(nx: int, ny: int | None = None, nz: int | None = None) -> Tupl
     return nx, ny, nz
 
 
-def _node_ids_2d(nx: int, ny: int) -> np.ndarray:
-    """Unknown numbering: row-major over (iy, ix)."""
-    return np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
+def _stencil_csr(
+    offsets: Sequence[int],
+    coefficients: Sequence[np.ndarray],
+    in_grid: Sequence[np.ndarray],
+    *,
+    name: str,
+) -> CsrMatrix:
+    """CSR arrays of a structured-grid stencil, written without sorting.
+
+    ``offsets`` are the links' column offsets in ascending order,
+    ``coefficients`` the per-node coefficient array of each link (all of the
+    grid's shape, indexed by the row node) and ``in_grid`` each link's
+    boolean mask (broadcastable to the grid): ``True`` where the neighbour
+    exists.  Row ``i`` stores its kept links in offset order, so columns are
+    ascending and distinct within every row.
+    """
+    grid = np.shape(coefficients[0])
+    n = int(np.prod(grid))
+    k = len(offsets)
+    values = np.empty(grid + (k,), dtype=np.float64)
+    keep = np.empty(grid + (k,), dtype=bool)
+    row_links = np.zeros(grid, dtype=np.int64)
+    for j, (coefficient, mask) in enumerate(zip(coefficients, in_grid)):
+        values[..., j] = coefficient
+        keep[..., j] = mask
+        row_links += mask
+    keep = keep.reshape(n, k)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_links.reshape(n), out=indptr[1:])
+    # Dropped links may point past either end of the grid; only kept ones,
+    # all in [0, n), leave this array, so int32 wrap-around is harmless.
+    columns = np.arange(n, dtype=INDEX_DTYPE)[:, None] + np.asarray(offsets, dtype=INDEX_DTYPE)
+    return CsrMatrix(values.reshape(n, k)[keep], columns[keep], indptr, (n, n), name=name)
 
 
 def assemble_stencil_2d(
@@ -69,42 +102,18 @@ def assemble_stencil_2d(
 
     Returns a float64 :class:`CsrMatrix` of dimension ``nx*ny``.
     """
-    center = np.asarray(center, dtype=np.float64)
-    ny, nx = center.shape
+    ny, nx = np.shape(center)
     for arr, label in ((east, "east"), (west, "west"), (north, "north"), (south, "south")):
         if np.asarray(arr).shape != (ny, nx):
             raise ValueError(f"{label} coefficient array must have shape {(ny, nx)}")
-    ids = _node_ids_2d(nx, ny)
-    n = nx * ny
-
-    rows = [ids.ravel()]
-    cols = [ids.ravel()]
-    vals = [center.ravel()]
-
-    east = np.asarray(east, dtype=np.float64)
-    west = np.asarray(west, dtype=np.float64)
-    north = np.asarray(north, dtype=np.float64)
-    south = np.asarray(south, dtype=np.float64)
-
-    # east neighbour (ix+1): valid for ix < nx-1
-    rows.append(ids[:, :-1].ravel())
-    cols.append(ids[:, 1:].ravel())
-    vals.append(east[:, :-1].ravel())
-    # west neighbour (ix-1): valid for ix > 0
-    rows.append(ids[:, 1:].ravel())
-    cols.append(ids[:, :-1].ravel())
-    vals.append(west[:, 1:].ravel())
-    # north neighbour (iy+1): valid for iy < ny-1
-    rows.append(ids[:-1, :].ravel())
-    cols.append(ids[1:, :].ravel())
-    vals.append(north[:-1, :].ravel())
-    # south neighbour (iy-1): valid for iy > 0
-    rows.append(ids[1:, :].ravel())
-    cols.append(ids[:-1, :].ravel())
-    vals.append(south[1:, :].ravel())
-
-    return CsrMatrix.from_coo(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n), name=name
+    ix = np.arange(nx)[None, :]
+    iy = np.arange(ny)[:, None]
+    # Unknowns are numbered row-major over (iy, ix).
+    return _stencil_csr(
+        (-nx, -1, 0, 1, nx),
+        (south, west, center, east, north),
+        (iy > 0, ix > 0, True, ix < nx - 1, iy < ny - 1),
+        name=name,
     )
 
 
@@ -123,41 +132,17 @@ def assemble_stencil_3d(
     missing = required - coefficients.keys()
     if missing:
         raise ValueError(f"missing stencil coefficients: {sorted(missing)}")
-    center = np.asarray(coefficients["center"], dtype=np.float64)
-    nz, ny, nx = center.shape
-    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in coefficients.items()}
-    for key, arr in arrays.items():
-        if arr.shape != (nz, ny, nx):
+    nz, ny, nx = np.shape(coefficients["center"])
+    for key, arr in coefficients.items():
+        if np.shape(arr) != (nz, ny, nx):
             raise ValueError(f"{key} coefficient array must have shape {(nz, ny, nx)}")
-    ids = np.arange(nx * ny * nz, dtype=np.int64).reshape(nz, ny, nx)
-    n = nx * ny * nz
-
-    rows = [ids.ravel()]
-    cols = [ids.ravel()]
-    vals = [center.ravel()]
-
-    # x-direction
-    rows.append(ids[:, :, :-1].ravel())
-    cols.append(ids[:, :, 1:].ravel())
-    vals.append(arrays["east"][:, :, :-1].ravel())
-    rows.append(ids[:, :, 1:].ravel())
-    cols.append(ids[:, :, :-1].ravel())
-    vals.append(arrays["west"][:, :, 1:].ravel())
-    # y-direction
-    rows.append(ids[:, :-1, :].ravel())
-    cols.append(ids[:, 1:, :].ravel())
-    vals.append(arrays["north"][:, :-1, :].ravel())
-    rows.append(ids[:, 1:, :].ravel())
-    cols.append(ids[:, :-1, :].ravel())
-    vals.append(arrays["south"][:, 1:, :].ravel())
-    # z-direction
-    rows.append(ids[:-1, :, :].ravel())
-    cols.append(ids[1:, :, :].ravel())
-    vals.append(arrays["up"][:-1, :, :].ravel())
-    rows.append(ids[1:, :, :].ravel())
-    cols.append(ids[:-1, :, :].ravel())
-    vals.append(arrays["down"][1:, :, :].ravel())
-
-    return CsrMatrix.from_coo(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n), name=name
+    ix = np.arange(nx)[None, None, :]
+    iy = np.arange(ny)[None, :, None]
+    iz = np.arange(nz)[:, None, None]
+    # Unknowns are numbered row-major over (iz, iy, ix).
+    return _stencil_csr(
+        (-nx * ny, -nx, -1, 0, 1, nx, nx * ny),
+        [coefficients[k] for k in ("down", "south", "west", "center", "east", "north", "up")],
+        (iz > 0, iy > 0, ix > 0, True, ix < nx - 1, iy < ny - 1, iz < nz - 1),
+        name=name,
     )

@@ -251,16 +251,14 @@ class SolverFarm:
         tenant's fairness share under ``fairness="weighted"``.
 
         Tenants are served *concurrently* by the worker pool, so state
-        shared between operators must be thread-safe.  In particular, do
-        not register the same mutable solver state under several keys:
-        neither one stateful preconditioner instance (e.g.
+        shared between operators must be thread-safe.  One
+        :class:`CsrMatrix` may back several keys (its cached kernel plans
+        lock their scratch buffers), but do not register one stateful
+        preconditioner instance under several keys (e.g.
         :class:`~repro.preconditioners.polynomial.GmresPolynomialPreconditioner`
-        owns recurrence scratch) nor one :class:`CsrMatrix` object (the
-        backends cache kernel plans *with scratch buffers* on the matrix,
-        see ``CsrMatrix.backend_cache``) — concurrent dispatches would
-        race on that scratch.  Within one operator the session solve lock
-        serializes everything, so this only matters across keys; distinct
-        operators naturally have distinct matrices.
+        owns recurrence scratch) — concurrent dispatches would race on
+        that scratch.  Within one operator the session solve lock
+        serializes everything, so this only matters across keys.
         """
         if weight <= 0:
             raise ValueError("weight must be positive")

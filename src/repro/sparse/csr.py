@@ -270,7 +270,9 @@ class CsrMatrix:
         )
         out._bandwidth = self._bandwidth
         if name is None:
-            self._cast_cache[prec.dtype] = out
+            # setdefault is atomic: threads racing on the first cast all get
+            # the one cached copy (and so share its backend plans).
+            out = self._cast_cache.setdefault(prec.dtype, out)
         return out
 
     def to_scipy(self):

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.config import rng
+from repro.matrices import galeri
 from repro.matrices.stencil import (
     assemble_stencil_2d,
     assemble_stencil_3d,
     grid_shape_2d,
     grid_shape_3d,
 )
+from repro.sparse import CsrMatrix
 from tests.conftest import dense
 
 
@@ -113,3 +116,121 @@ class TestAssemble3D:
         coeffs = {k: np.full(shape, -1.0) for k in ("east", "west", "north", "south", "up", "down")}
         coeffs["center"] = np.full(shape, 6.0)
         assert is_numerically_symmetric(assemble_stencil_3d(coeffs))
+
+
+# ---------------------------------------------------------------------- #
+# parity with the COO-triplet assembly                                   #
+# ---------------------------------------------------------------------- #
+def _coo_oracle_2d(center, east, west, north, south):
+    """Reference: the 5-point operator from COO triplets via ``from_coo``."""
+    center = np.asarray(center, dtype=np.float64)
+    ny, nx = center.shape
+    ids = np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
+    links = [
+        (ids, ids, center),
+        (ids[:, :-1], ids[:, 1:], np.asarray(east, dtype=np.float64)[:, :-1]),
+        (ids[:, 1:], ids[:, :-1], np.asarray(west, dtype=np.float64)[:, 1:]),
+        (ids[:-1, :], ids[1:, :], np.asarray(north, dtype=np.float64)[:-1, :]),
+        (ids[1:, :], ids[:-1, :], np.asarray(south, dtype=np.float64)[1:, :]),
+    ]
+    return _from_triplets(links, nx * ny)
+
+
+def _coo_oracle_3d(coefficients):
+    """Reference: the 7-point operator from COO triplets via ``from_coo``."""
+    c = {k: np.asarray(v, dtype=np.float64) for k, v in coefficients.items()}
+    nz, ny, nx = c["center"].shape
+    ids = np.arange(nx * ny * nz, dtype=np.int64).reshape(nz, ny, nx)
+    links = [
+        (ids, ids, c["center"]),
+        (ids[:, :, :-1], ids[:, :, 1:], c["east"][:, :, :-1]),
+        (ids[:, :, 1:], ids[:, :, :-1], c["west"][:, :, 1:]),
+        (ids[:, :-1, :], ids[:, 1:, :], c["north"][:, :-1, :]),
+        (ids[:, 1:, :], ids[:, :-1, :], c["south"][:, 1:, :]),
+        (ids[:-1, :, :], ids[1:, :, :], c["up"][:-1, :, :]),
+        (ids[1:, :, :], ids[:-1, :, :], c["down"][1:, :, :]),
+    ]
+    return _from_triplets(links, nx * ny * nz)
+
+
+def _from_triplets(links, n):
+    rows, cols, vals = (np.concatenate([link[i].ravel() for link in links]) for i in range(3))
+    return CsrMatrix.from_coo(rows, cols, vals, (n, n))
+
+
+def _assert_same_arrays(got, want):
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype, attr
+        assert a.shape == b.shape, attr
+        assert a.tobytes() == b.tobytes(), attr
+
+
+def _oracle_for(generator, monkeypatch, *args, **kwargs):
+    """Run ``generator`` and rebuild its operator from the same coefficients
+    through the COO oracle (the assembler's inputs are captured in flight)."""
+    captured = {}
+
+    def spy(assembler, oracle):
+        def wrapped(*a, **kw):
+            captured["oracle"] = oracle(*a)
+            return assembler(*a, **kw)
+
+        return wrapped
+
+    monkeypatch.setattr(galeri, "assemble_stencil_2d", spy(assemble_stencil_2d, _coo_oracle_2d))
+    monkeypatch.setattr(galeri, "assemble_stencil_3d", spy(assemble_stencil_3d, _coo_oracle_3d))
+    matrix = getattr(galeri, generator)(*args, **kwargs)
+    return matrix, captured["oracle"]
+
+
+GRIDS_2D = [(8, 8), (7, 4), (1, 5), (5, 1), (2, 6), (1, 1)]
+GRIDS_3D = [(5, 5, 5), (5, 3, 4), (1, 4, 3), (3, 1, 1), (2, 2, 2), (6, 2, 1)]
+
+
+class TestAssemblyParity:
+    """Direct CSR assembly is bit-identical to the COO-triplet path."""
+
+    @pytest.mark.parametrize("grid", GRIDS_2D)
+    @pytest.mark.parametrize(
+        "generator",
+        ["laplace2d", "uniflow2d", "bentpipe2d", "stretched2d", "convection_diffusion_2d"],
+    )
+    def test_2d_generators(self, generator, grid, monkeypatch):
+        _assert_same_arrays(*_oracle_for(generator, monkeypatch, *grid))
+
+    @pytest.mark.parametrize("grid", GRIDS_3D)
+    def test_laplace3d(self, grid, monkeypatch):
+        _assert_same_arrays(*_oracle_for("laplace3d", monkeypatch, *grid))
+
+    @pytest.mark.parametrize("scheme", ["central", "upwind"])
+    def test_convection_diffusion_schemes(self, scheme, monkeypatch):
+        matrix, oracle = _oracle_for(
+            "convection_diffusion_2d", monkeypatch, 6, 3,
+            epsilon=0.01, velocity=(2.0, -1.0), scheme=scheme,
+        )
+        _assert_same_arrays(matrix, oracle)
+
+    def test_explicit_zero_coupling_is_stored(self, monkeypatch):
+        # h = 1/4 and vx = 8 make the central east coupling -1 + 8*h/2 == 0.
+        matrix, oracle = _oracle_for(
+            "convection_diffusion_2d", monkeypatch, 3, 4, epsilon=1.0, velocity=(8.0, 0.0)
+        )
+        _assert_same_arrays(matrix, oracle)
+        nx, ny = 3, 4
+        assert matrix.nnz == nx * ny + 2 * ((nx - 1) * ny + nx * (ny - 1))
+        assert np.count_nonzero(matrix.data == 0.0) == (nx - 1) * ny
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3), (2, 1, 1)])
+    def test_3d_spatially_varying_with_zeros(self, shape):
+        keys = ("center", "east", "west", "north", "south", "up", "down")
+        values = rng(42).standard_normal((len(keys),) + shape)
+        values[1, ..., 0] = 0.0  # explicit zero couplings
+        coeffs = dict(zip(keys, values))
+        _assert_same_arrays(assemble_stencil_3d(coeffs), _coo_oracle_3d(coeffs))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 6), (2, 2)])
+    def test_2d_spatially_varying_with_zeros(self, shape):
+        values = rng(42).standard_normal((5,) + shape)
+        values[2] = 0.0  # every west coupling is an explicit zero
+        _assert_same_arrays(assemble_stencil_2d(*values), _coo_oracle_2d(*values))
