@@ -1,10 +1,8 @@
 """Pure-NumPy reference backend.
 
-The raw CSR kernels here are the library's numerical ground truth (moved
-from :mod:`repro.sparse.ops`, which keeps only deprecation shims that
-route through the active backend): vectorised NumPy with no per-row
-Python loops, following the HPC-Python guidance —
-``np.add.reduceat`` for the row sums of the SpMV/SpMM and
+The raw CSR kernels here are the library's numerical ground truth:
+vectorised NumPy with no per-row Python loops, following the HPC-Python
+guidance — ``np.add.reduceat`` for the row sums of the SpMV/SpMM and
 ``np.bincount``/fancy indexing for scatter operations.
 
 Accumulation precision note: ``np.add.reduceat`` accumulates in the dtype
@@ -221,21 +219,26 @@ def _dia_plan(matrix: "CsrMatrix", plan: dict) -> Optional[dict]:
     costs more than ``k`` independent SpMVs).  Built lazily, once per
     matrix, under ``plan["lock"]``; matrices whose diagonal count or
     padding blow-up exceeds the thresholds are marked ineligible and use
-    the gather path.
+    the gather path.  So are matrices whose column indices do not strictly
+    increase within every row: a duplicate (row, col) entry would collapse
+    into one diagonal slot, and an unsorted row would sum in a different
+    order than the CSR reduce.
     """
     dia = plan.get("dia", None)
     if dia is False:
         return None
     if dia is not None:
         return dia
-    n_rows = matrix.shape[0]
+    n_rows, n_cols = matrix.shape
     nnz = matrix.data.size
     counts = np.diff(matrix.indptr)
     rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-    offs = matrix.indices.astype(np.int64) - rows
+    cols = matrix.indices.astype(np.int64)
+    offs = cols - rows
     offsets = np.unique(offs)
     if (
         nnz == 0
+        or np.any(np.diff(rows * n_cols + cols) <= 0)
         or offsets.size > _DIA_MAX_DIAGONALS
         or offsets.size * n_rows > _DIA_MAX_PAD_FACTOR * nnz
     ):

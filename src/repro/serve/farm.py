@@ -13,8 +13,8 @@ multi-tenant form of the same service:
   byte budget.  An evicted operator transparently re-warms on its next
   request;
 * **queues belong to the farm, not the sessions** — each tenant has a
-  bounded queue of :class:`~repro.serve.scheduler.PendingRequest`, so an
-  eviction can never lose a future;
+  bounded :class:`~repro.serve.scheduler.RequestQueue`, so an eviction
+  can never lose a future;
 * **admission control** — a submit against a full tenant queue raises
   :class:`RejectedError` carrying a ``retry_after_ms`` hint, instead of
   queueing unbounded work (backpressure the client can act on);
@@ -32,9 +32,10 @@ multi-tenant form of the same service:
   round-robin, so a hot tenant cannot starve the others beyond its
   weight); under ``"fifo"`` the tenant holding the globally oldest
   request — marks it busy (one worker per tenant at a time: batches must
-  not be split across workers), micro-batches its queue exactly like the
-  single-session scheduler, and runs the shared dispatch core
-  :func:`~repro.serve.scheduler.run_batch`;
+  not be split across workers), and runs the dispatch core the
+  single-session scheduler runs: the tenant's
+  :class:`~repro.serve.scheduler.RequestQueue` assembles the batch and
+  :func:`~repro.serve.scheduler.run_batch` solves it;
 * **two-level telemetry** — every event is recorded in the tenant's own
   :class:`~repro.serve.telemetry.ServeTelemetry` *and* the fleet-wide one
   via a :class:`~repro.serve.telemetry.TelemetryFanout`;
@@ -60,10 +61,8 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
-from collections import deque
 from concurrent.futures import Future
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -79,12 +78,11 @@ from .registry import SessionRegistry
 from .scheduler import (
     BatchReport,
     PendingRequest,
+    RequestQueue,
     ServeResult,
-    deadline_slack_seconds,
+    claim_or_end,
     expire_requests,
-    fail_future,
     run_batch,
-    sweep_expired,
 )
 from .session import OperatorSession, validate_rhs
 from .telemetry import FarmStats, FarmTelemetry
@@ -104,12 +102,17 @@ class _Tenant:
     __slots__ = ("key", "n_rows", "weight", "queue", "busy", "served", "breaker")
 
     def __init__(
-        self, key: str, n_rows: int, weight: float, breaker: CircuitBreaker
+        self,
+        key: str,
+        n_rows: int,
+        weight: float,
+        breaker: CircuitBreaker,
+        queue: RequestQueue,
     ) -> None:
         self.key = key
         self.n_rows = n_rows
         self.weight = weight
-        self.queue: Deque[PendingRequest] = deque()
+        self.queue = queue
         #: a worker is currently batching/dispatching this tenant —
         #: no second worker may touch its queue (batches must coalesce,
         #: not race).
@@ -292,6 +295,7 @@ class SolverFarm:
                         threshold=self.breaker_threshold,
                         cooldown_ms=self.breaker_cooldown_ms,
                     ),
+                    RequestQueue(self._wakeup, lambda: self._closed),
                 )
             else:
                 tenant.n_rows = rows
@@ -548,8 +552,7 @@ class SolverFarm:
             # is as hard a failure as a broken solve, so it feeds the
             # breaker too.
             with self._wakeup:
-                doomed = list(tenant.queue)
-                tenant.queue.clear()
+                doomed = tenant.queue.take_all()
             log_event(
                 _LOGGER,
                 "session_warmup_failed",
@@ -560,20 +563,14 @@ class SolverFarm:
                 error=repr(exc),
             )
             for request in doomed:
-                if request.future.set_running_or_notify_cancel():
-                    if fail_future(request.future, exc):
-                        sink.record_abandoned()
-                    if request.trace is not None:
-                        request.trace.finish("error", error=repr(exc))
-                else:
-                    sink.record_cancelled()
-                    if request.trace is not None:
-                        request.trace.finish("cancelled")
+                claim_or_end(request, sink, "error", exc, error=repr(exc))
             self._feed_breaker(
                 tenant, BatchReport(width=len(doomed), exception=exc)
             )
             return
-        batch = self._collect_batch(tenant, session)
+        batch = tenant.queue.collect(
+            sink, session.max_block, session.policy, self.max_wait_seconds
+        )
         if not batch:
             return
         report = run_batch(
@@ -620,62 +617,6 @@ class SolverFarm:
         elif report.healthy:
             tenant.breaker.record_success()
 
-    def _collect_batch(
-        self, tenant: _Tenant, session: OperatorSession
-    ) -> List[PendingRequest]:
-        """Pop one dispatch's worth of ``tenant``'s queue (micro-batching).
-
-        Mirrors :meth:`SolveScheduler._collect_batch`: wait up to the
-        micro-batching window for the queue to fill to the session's
-        ``max_block`` — skipped when more arrivals cannot change the
-        dispatch (width-1 session, sequential policy) or the farm is
-        draining — then let the policy choose the width.  The window is
-        capped by the tightest queued deadline, and requests whose
-        deadline already lapsed are failed fast here, never dispatched.
-        """
-        sink = self.telemetry.sink(tenant.key)
-        expired: List[PendingRequest] = []
-        with self._wakeup:
-            expired.extend(sweep_expired(tenant.queue))
-            can_batch = (
-                session.max_block > 1
-                and getattr(session.policy, "mode", "auto") != "sequential"
-            )
-            if can_batch and not self._closed:
-                window_ends = time.perf_counter() + self.max_wait_seconds
-                while len(tenant.queue) < session.max_block and not self._closed:
-                    remaining = window_ends - time.perf_counter()
-                    slack = deadline_slack_seconds(tenant.queue)
-                    if slack is not None:
-                        remaining = min(remaining, slack)
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(timeout=remaining)
-                    expired.extend(sweep_expired(tenant.queue))
-                    if not tenant.queue:
-                        # Nothing left to batch (everything expired or
-                        # was cancelled): resolve the sweep now instead
-                        # of idling out the window.
-                        break
-            expired.extend(sweep_expired(tenant.queue))
-            if not tenant.queue:
-                popped: List[PendingRequest] = []
-            else:
-                width = session.policy.block_width(len(tenant.queue))
-                popped = [tenant.queue.popleft() for _ in range(width)]
-        expire_requests(expired, sink)
-        batch = []
-        for request in popped:
-            # Transition the future to RUNNING; a client that cancelled
-            # while queued is dropped here and never enters the block.
-            if request.future.set_running_or_notify_cancel():
-                batch.append(request)
-            else:
-                sink.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
-        return batch
-
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
     # ------------------------------------------------------------------ #
@@ -692,25 +633,17 @@ class SolverFarm:
             abandoned: List[tuple] = []
             if not drain:
                 for tenant in self._tenants.values():
-                    abandoned.extend((tenant.key, r) for r in tenant.queue)
-                    tenant.queue.clear()
+                    abandoned.extend((tenant.key, r) for r in tenant.queue.take_all())
             threads = list(self._threads)
             self._threads.clear()
             self._wakeup.notify_all()
         for key, request in abandoned:
-            sink = self.telemetry.sink(key)
-            if request.future.set_running_or_notify_cancel():
-                if fail_future(
-                    request.future,
-                    RuntimeError("farm closed before the request was served"),
-                ):
-                    sink.record_abandoned()
-                if request.trace is not None:
-                    request.trace.finish("abandoned")
-            else:
-                sink.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
+            claim_or_end(
+                request,
+                self.telemetry.sink(key),
+                "abandoned",
+                RuntimeError("farm closed before the request was served"),
+            )
         for thread in threads:
             if threading.current_thread() is not thread:
                 thread.join(timeout=timeout)

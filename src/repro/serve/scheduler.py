@@ -1,10 +1,9 @@
 """Micro-batching scheduler: coalesce single-RHS requests into block solves.
 
-The serving workload the roadmap targets is many independent clients, each
-submitting *one* right-hand side against a shared operator.  Block-GMRES
-(PR 3) only pays off when right-hand sides arrive in blocks, so this module
-supplies the missing coupling: a thread-safe queue plus one dispatcher
-thread that
+The serving workload is many independent clients, each submitting *one*
+right-hand side against a shared operator.  Block-GMRES only pays off
+when right-hand sides arrive in blocks, so this module supplies the
+missing coupling: a thread-safe queue plus one dispatcher thread that
 
 1. waits for the first request, then keeps collecting until either
    ``max_block`` requests are waiting or ``max_wait_ms`` has elapsed since
@@ -31,6 +30,14 @@ vector — is rank-deficient as a block and can defeat the shared-basis
 solver even though every column alone is easy, so the sequential retry
 turns a batching artefact into at most one extra solve.  Only an
 unexpected solver exception fails the batch it was part of.
+
+The module is also the dispatch core of the whole serve layer.  Each
+:class:`SolveScheduler` and each tenant of a
+:class:`~repro.serve.farm.SolverFarm` queues into a :class:`RequestQueue`,
+whose :meth:`~RequestQueue.collect` is the one batch assembler (steps 1
+and 2 above, plus deadline expiry and cancel-on-pop); :func:`run_batch`
+runs and demultiplexes the batch; and :func:`claim_or_end` is the one
+terminal path of every request that ends without a solve.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -59,9 +66,11 @@ __all__ = [
     "BatchReport",
     "PendingRequest",
     "ServeFuture",
+    "RequestQueue",
     "ServeResult",
     "SolveScheduler",
     "run_batch",
+    "claim_or_end",
     "complete_future",
     "fail_future",
     "sweep_expired",
@@ -178,7 +187,8 @@ class PendingRequest:
 
 
 # --------------------------------------------------------------------- #
-# future resolution and queue maintenance (shared with the farm)        #
+# dispatch core shared by sessions and farms: future resolution, the    #
+# one terminal path of unserved requests, and batch assembly            #
 # --------------------------------------------------------------------- #
 def complete_future(future: Future, result: object) -> bool:
     """``set_result`` that tolerates a future already resolved elsewhere.
@@ -204,6 +214,48 @@ def fail_future(future: Future, exc: BaseException) -> bool:
         return False
 
 
+#: Trace outcome of a request that ends without a solve -> the telemetry
+#: counter recording it (a session warm-up failure ends as "error").
+_UNSERVED_COUNTERS = {
+    "cancelled": "record_cancelled",
+    "deadline_exceeded": "record_timeout",
+    "abandoned": "record_abandoned",
+    "error": "record_abandoned",
+}
+
+
+def claim_or_end(
+    request: PendingRequest,
+    telemetry,
+    outcome: Optional[str] = None,
+    exc: Optional[BaseException] = None,
+    **attrs: object,
+) -> bool:
+    """Claim ``request`` for dispatch, or end it without a solve.
+
+    The one terminal path of every request that never reaches a solver.
+    The future moves to RUNNING (``set_running_or_notify_cancel``); a
+    client that cancelled while queued ends here as ``"cancelled"``.
+    Otherwise, with no ``outcome`` the request stays claimed and ``True``
+    is returned (the caller dispatches it); with an ``outcome``
+    (``"deadline_exceeded"``, ``"abandoned"`` or ``"error"``) its future
+    fails with ``exc``.  Every ending bumps exactly one counter on
+    ``telemetry`` and finishes the request trace with the outcome
+    (``attrs`` annotate it), so ``submitted == completed + failed`` and
+    the span ledger balance by construction.
+    """
+    if request.future.set_running_or_notify_cancel():
+        if outcome is None:
+            return True
+        fail_future(request.future, exc)
+    else:
+        outcome, attrs = "cancelled", {}
+    getattr(telemetry, _UNSERVED_COUNTERS[outcome])()
+    if request.trace is not None:
+        request.trace.finish(outcome, **attrs)
+    return False
+
+
 def sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
     """Remove and return queued requests whose deadline already lapsed.
 
@@ -225,34 +277,27 @@ def sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
 def expire_requests(expired: List[PendingRequest], telemetry) -> None:
     """Fail swept-out requests fast with :class:`DeadlineExceededError`."""
     for request in expired:
-        if request.future.set_running_or_notify_cancel():
-            budget = request.deadline_ms
-            shown = "?" if budget is None else format(budget, ".0f")
-            fail_future(
-                request.future,
-                DeadlineExceededError(
-                    f"request deadline of {shown} ms lapsed in the queue; "
-                    "the request was never dispatched",
-                    deadline_ms=budget,
-                ),
-            )
-            telemetry.record_timeout()
-            if request.trace is not None:
-                request.trace.finish("deadline_exceeded")
-        else:
-            # Cancelled while queued: the sweep doubles as the drop point.
-            telemetry.record_cancelled()
-            if request.trace is not None:
-                request.trace.finish("cancelled")
+        budget = request.deadline_ms
+        shown = "?" if budget is None else format(budget, ".0f")
+        claim_or_end(
+            request,
+            telemetry,
+            "deadline_exceeded",
+            DeadlineExceededError(
+                f"request deadline of {shown} ms lapsed in the queue; "
+                "the request was never dispatched",
+                deadline_ms=budget,
+            ),
+        )
 
 
 def deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
     """Seconds until the tightest queued deadline (None when none is set).
 
-    The caller holds the queue's lock.  The batch assemblers cap their
-    micro-batching wait window by this slack, so a near-deadline request
-    is dispatched (or expired) promptly instead of being held for the
-    full ``max_wait_ms``.
+    The caller holds the queue's lock.  :meth:`RequestQueue.collect` caps
+    its micro-batching wait window by this slack, so a near-deadline
+    request is dispatched (or expired) promptly instead of being held for
+    the full ``max_wait_ms``.
     """
     slack: Optional[float] = None
     for request in queue:
@@ -260,6 +305,73 @@ def deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
         if remaining is not None and (slack is None or remaining < slack):
             slack = remaining
     return slack
+
+
+class RequestQueue(deque):
+    """A deque of :class:`PendingRequest` that assembles its own batches.
+
+    :class:`SolveScheduler` holds one; :class:`~repro.serve.farm.SolverFarm`
+    holds one per tenant.  The deque lives under its owner's condition
+    variable ``cond`` — hold it for any direct access — and ``closed``
+    reports whether the owner is shutting down.
+    """
+
+    def __init__(
+        self, cond: threading.Condition, closed: Callable[[], bool]
+    ) -> None:
+        super().__init__()
+        self._cond = cond
+        self._closed = closed
+
+    def take_all(self) -> List[PendingRequest]:
+        """Empty the queue, returning its requests (caller holds ``cond``)."""
+        taken = list(self)
+        self.clear()
+        return taken
+
+    def collect(
+        self, telemetry, max_block: int, policy, max_wait_seconds: float
+    ) -> List[PendingRequest]:
+        """Pop one dispatch's worth of requests, claimed for dispatch.
+
+        Takes ``cond`` itself.  Waits up to the micro-batching window for
+        the queue to fill to ``max_block``, then lets ``policy`` choose
+        the width.  Requests whose deadline lapsed in the queue, or whose
+        client cancelled them, end through :func:`claim_or_end` (recorded
+        in ``telemetry``) and are never returned; the list may be empty.
+        """
+        with self._cond:
+            expired = sweep_expired(self)
+            # Micro-batching window: measured from when assembly of this
+            # batch starts (the queue may already hold requests that
+            # arrived during the previous solve).  A fresh window per
+            # batch lets the in-flight clients' follow-up requests
+            # coalesce with the ones that waited, instead of locking the
+            # traffic into two alternating half-width cohorts; each batch
+            # adds at most one window on top of the in-flight solve to any
+            # request's wait.  When more arrivals cannot change the
+            # dispatch (width-1 cap, sequential policy) or the owner is
+            # closing, the window is pure latency, so it is skipped.  The
+            # window is capped by the tightest queued deadline: a
+            # near-deadline request is never held for the full window.
+            if max_block > 1 and getattr(policy, "mode", "auto") != "sequential":
+                window_ends = time.perf_counter() + max_wait_seconds
+                while self and len(self) < max_block and not self._closed():
+                    remaining = window_ends - time.perf_counter()
+                    slack = deadline_slack_seconds(self)
+                    if slack is not None:
+                        remaining = min(remaining, slack)
+                    if remaining <= 0:
+                        break
+                    self._cond.wait(timeout=remaining)
+                    expired.extend(sweep_expired(self))
+            expired.extend(sweep_expired(self))
+            width = policy.block_width(len(self)) if self else 0
+            popped = [self.popleft() for _ in range(width)]
+        expire_requests(expired, telemetry)
+        # A client that cancelled while queued is dropped here and never
+        # enters the block.
+        return [request for request in popped if claim_or_end(request, telemetry)]
 
 
 class SolveScheduler:
@@ -303,10 +415,10 @@ class SolveScheduler:
         self.max_wait_seconds = float(max_wait_ms) / 1e3
         self.policy = policy
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
-        self._queue: Deque[PendingRequest] = deque()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
+        self._queue = RequestQueue(self._wakeup, lambda: self._closed)
         # The dispatcher thread starts lazily on the first submit():  a
         # registry-cached warm session that is only ever driven through the
         # farm's shared worker pool (or through direct solve()/solve_many()
@@ -420,25 +532,15 @@ class SolveScheduler:
             if self._closed and (dispatcher is None or not dispatcher.is_alive()):
                 return
             self._closed = True
-            if not drain:
-                abandoned = list(self._queue)
-                self._queue.clear()
-            else:
-                abandoned = []
+            abandoned = [] if drain else self._queue.take_all()
             self._wakeup.notify_all()
         for request in abandoned:
-            if request.future.set_running_or_notify_cancel():
-                if fail_future(
-                    request.future,
-                    RuntimeError("scheduler closed before the request was served"),
-                ):
-                    self.telemetry.record_abandoned()
-                if request.trace is not None:
-                    request.trace.finish("abandoned")
-            else:
-                self.telemetry.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
+            claim_or_end(
+                request,
+                self.telemetry,
+                "abandoned",
+                RuntimeError("scheduler closed before the request was served"),
+            )
         if dispatcher is not None and threading.current_thread() is not dispatcher:
             dispatcher.join(timeout=timeout)
 
@@ -447,75 +549,16 @@ class SolveScheduler:
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
         while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
+            with self._wakeup:
+                while not self._queue and not self._closed:
+                    self._wakeup.wait()
+                if not self._queue:
+                    return  # closed and drained
+            batch = self._queue.collect(
+                self.telemetry, self.max_block, self.policy, self.max_wait_seconds
+            )
             if batch:
                 self._dispatch(batch)
-
-    def _collect_batch(self) -> Optional[List[PendingRequest]]:
-        """Block until a batch is due; pop and return it (None = shut down)."""
-        expired: List[PendingRequest] = []
-        with self._wakeup:
-            while True:
-                expired.extend(sweep_expired(self._queue))
-                # Break on swept-out expirations too: their futures must
-                # be resolved now, not after the next submit wakes us.
-                if self._queue or self._closed or expired:
-                    break
-                self._wakeup.wait()
-            # Micro-batching window: measured from when the dispatcher
-            # starts assembling this batch (it may already hold requests
-            # that queued up during the previous solve).  A fresh window
-            # per batch lets the in-flight clients' follow-up requests
-            # coalesce with the ones that waited, instead of locking the
-            # traffic into two alternating half-width cohorts; each batch
-            # adds at most one max_wait_ms window on top of the in-flight
-            # solve to any request's wait.  When more arrivals cannot
-            # change the dispatch (width-1 scheduler, sequential policy)
-            # the window is pure latency, so it is skipped.  The window is
-            # additionally capped by the tightest queued deadline: a
-            # near-deadline request is never held for the full window.
-            can_batch = self.max_block > 1 and getattr(
-                self.policy, "mode", "auto"
-            ) != "sequential"
-            if self._queue and can_batch:
-                window_ends = time.perf_counter() + self.max_wait_seconds
-                while len(self._queue) < self.max_block and not self._closed:
-                    remaining = window_ends - time.perf_counter()
-                    slack = deadline_slack_seconds(self._queue)
-                    if slack is not None:
-                        remaining = min(remaining, slack)
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(timeout=remaining)
-                    expired.extend(sweep_expired(self._queue))
-                    if not self._queue:
-                        break
-            expired.extend(sweep_expired(self._queue))
-            if not self._queue:
-                popped: List[PendingRequest] = []
-            else:
-                width = self.policy.block_width(len(self._queue))
-                popped = [self._queue.popleft() for _ in range(width)]
-            closed = self._closed
-        expire_requests(expired, self.telemetry)
-        if not popped:
-            # close(drain=False) emptied the queue mid-window (or every
-            # queued request expired); hand control back to the outer
-            # loop, which exits once closed.
-            return None if closed else []
-        batch = []
-        for request in popped:
-            # Transition the future to RUNNING; a client that cancelled
-            # while queued is dropped here and never enters the block.
-            if request.future.set_running_or_notify_cancel():
-                batch.append(request)
-            else:
-                self.telemetry.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
-        return batch
 
     def _dispatch(self, batch: List[PendingRequest]) -> None:
         run_batch(
@@ -596,9 +639,9 @@ def run_batch(
 ) -> BatchReport:
     """Run one assembled batch and resolve its futures (the dispatch core).
 
-    Shared by the per-session :class:`SolveScheduler` dispatcher and the
-    farm's worker pool (:mod:`repro.serve.farm`): assemble the column
-    block, run the batched solve through ``session._solve_block`` (pinned
+    Called by the per-session :class:`SolveScheduler` dispatcher and the
+    farm's worker pool (:mod:`repro.serve.farm`) on the claimed requests
+    :meth:`RequestQueue.collect` returned: assemble the column block, run the batched solve through ``session._solve_block`` (pinned
     context, pooled workspaces, one per-request control token per
     column), apply the width-1 retry containment to non-converged
     columns, demultiplex per-column :class:`ServeResult` objects into the

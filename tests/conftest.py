@@ -4,11 +4,28 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.config import ReproConfig, rng as make_rng, set_config
 from repro.linalg.context import ExecutionContext, set_context
 from repro.matrices import bentpipe2d, laplace2d, laplace3d, stretched2d, uniflow2d
 from repro.sparse import CsrMatrix, from_scipy
+
+# Example budgets of the stateful serve-lifecycle test
+# (tests/test_serve_lifecycle.py), selected by REPRO_LIFECYCLE_PROFILE:
+# a derandomized one for tier-1, a larger randomized one for the chaos job.
+_LIFECYCLE = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile(
+    "lifecycle",
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    stateful_step_count=25,
+    **_LIFECYCLE,
+)
+settings.register_profile(
+    "lifecycle-chaos", max_examples=200, stateful_step_count=30, **_LIFECYCLE
+)
 
 
 @pytest.fixture(autouse=True)

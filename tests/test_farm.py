@@ -440,18 +440,6 @@ class TestServeFacade:
             farm.register("op", matrix, **SESSION_KWARGS)
             assert farm.submit("op", np.ones(matrix.n_rows)).result(30).converged
 
-    def test_deprecated_top_level_exports_warn_but_work(self):
-        for name in (
-            "OperatorSession",
-            "SolveScheduler",
-            "ServeResult",
-            "BatchingPolicy",
-            "ServeStats",
-            "ServeTelemetry",
-        ):
-            with pytest.warns(DeprecationWarning, match=f"repro.{name}"):
-                assert getattr(repro, name) is getattr(repro.serve, name)
-
     def test_unknown_top_level_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="does_not_exist"):
             repro.does_not_exist
@@ -482,10 +470,3 @@ class TestResultProtocol:
         )
         assert multi.residual_history is multi.histories
         assert multi.status == repro.SolverStatus.CONVERGED
-
-    def test_all_converged_is_deprecated(self, matrix):
-        multi = repro.solve_many(
-            matrix, rng(7).standard_normal((matrix.n_rows, 2))
-        )
-        with pytest.warns(DeprecationWarning, match="all_converged"):
-            assert multi.all_converged == multi.converged

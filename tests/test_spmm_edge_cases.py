@@ -136,6 +136,32 @@ class TestSpmmEdgeCases:
         _assert_matches_looped_spmv(backend, A, X, Y)
         np.testing.assert_array_equal(Y, backend.spmm(A, X))
 
+    def test_duplicate_entries_are_summed(self, name):
+        """A (row, col) stored twice counts twice, as in the SpMV.
+
+        CSR validation allows duplicate entries; a stencil-shaped matrix
+        carrying one must not take a DIA path that keeps only one copy.
+        """
+        backend = get_backend(name)
+        n = 6
+        data, indices, indptr = [], [], [0]
+        for i in range(n):
+            row = [(j, -1.0) for j in (i - 1, i + 1) if 0 <= j < n]
+            row += [(i, 1.0), (i, 2.0)] if i == 2 else [(i, 4.0)]
+            for j, v in sorted(row, key=lambda e: e[0]):
+                indices.append(j)
+                data.append(v)
+            indptr.append(len(indices))
+        A = CsrMatrix(np.array(data), np.array(indices), np.array(indptr), (n, n))
+        D = np.diag(np.full(n, 4.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
+        D[2, 2] = 3.0
+        X = rng(12).standard_normal((n, 3))
+        np.testing.assert_allclose(backend.spmm(A, X), D @ X, rtol=1e-13)
+        out = np.empty((n, 3), order="F")
+        assert backend.spmm(A, X, out=out) is out
+        np.testing.assert_allclose(out, D @ X, rtol=1e-13)
+        _assert_matches_looped_spmv(backend, A, X, out)
+
     def test_shape_validation(self, name):
         backend = get_backend(name)
         A = _random_csr(20, 10, 0.2, 9)
