@@ -1,77 +1,72 @@
-"""Helpers shared by the benchmark modules (kept out of conftest so the
-benchmark files can import them explicitly).
+"""The benchmark harness: the CLI modes CI runs, plus helpers the
+pytest-benchmark modules import (:func:`run_once`, :func:`backend_context`,
+:func:`run_backend_comparison`).
 
-Besides the pytest-benchmark glue (:func:`run_once`) this module provides
-the machine-readable benchmark output used by CI:
+``python benchmarks/_harness.py --<mode> [--out PATH]`` runs one or more
+modes.  Each writes a self-describing ``BENCH_<name>.json`` (schema
+``repro-bench/1``: environment stamps, a summary block, one entry per
+measurement) under ``benchmarks/results/``, or to ``--out`` when exactly
+one mode is selected.  The modes:
 
-* :func:`write_bench_json` writes a ``BENCH_<name>.json`` file with one
-  entry per (kernel, precision) bucket — wall seconds, modelled seconds,
-  call counts — tagged with backend, matrix and dtype, so perf trajectories
-  can be diffed across commits;
-* ``python benchmarks/_harness.py --smoke`` runs scaled-down Figure 1 and
-  Figure 5 configurations (< 2 minutes) and emits ``BENCH_smoke.json``
-  (the CI smoke-benchmark job uploads it as an artifact);
-* ``python benchmarks/_harness.py --backends`` times the registered kernel
-  backends against each other on the 64³ Laplace3D SpMV/SpMM and emits
-  ``BENCH_backends.json`` including the measured speedups;
-* ``python benchmarks/_harness.py --solve`` times the *end-to-end* metered
-  and unmetered GMRES(50) fp64 solve on the smoke matrices for every
-  registered backend and emits ``BENCH_solve.json`` — the solver-level perf
-  trajectory.  The summary block records the pre-PR per-iteration baseline
-  (measured before the allocation-free hot path landed) and the speedup
-  against it; ``benchmarks/check_solve_regression.py`` diffs a fresh run
-  against the committed file in CI;
-* ``python benchmarks/_harness.py --solve-block`` times Block-GMRES at
-  block size 8 against 8 sequential GMRES solves (both backends, plain and
-  polynomial-preconditioned) and emits ``BENCH_block.json``; it *enforces*
-  the batched-solve acceptance gate (``BLOCK_GATE``: ≥2× per-RHS speedup
-  on the reference backend in the preconditioned configuration) and fails
-  the run when the gate or the sequential-parity check is violated;
-* ``python benchmarks/_harness.py --serve`` drives N concurrent client
-  threads against a :class:`repro.serve.OperatorSession` (batched
-  micro-batching scheduler vs the unbatched width-1 scheduler, both
-  backends) and emits ``BENCH_serve.json`` with RHS/s and p50/p95
-  queue-wait/solve/total latency; it *enforces* the serving acceptance
-  gate (``SERVE_GATE``: ≥2× RHS/s from batching on the reference backend)
-  plus the bit-parity (served == direct solve) and divergence-isolation
-  checks.
-* ``python benchmarks/_harness.py --farm`` replays a skewed 8-operator
-  traffic mix (one hot tenant, seven cold ones) against a
-  :class:`repro.serve.SolverFarm` whose session budget is smaller than the
-  operator count — so LRU eviction and re-warm churn are part of the
-  measured workload — and against the naive no-farm alternative (one warm
-  session at a time, rebuilt on every operator switch, requests solved
-  sequentially).  Emits ``BENCH_farm.json`` with fleet RHS/s, per-tenant
-  p50/p95 latency and fairness shares, and eviction counts; *enforces*
-  the farm acceptance gate (``FARM_GATE``: ≥1.5× fleet RHS/s over the
-  naive baseline on the reference backend, no cold tenant's p95 latency
-  degraded more than 3× by the hot neighbour, evictions observed).
-* ``python benchmarks/_harness.py --obs`` measures the observability
-  layer's serving cost: the ``--serve`` batched client mix is replayed
-  with obs fully off (baseline), metrics-only (the default), adaptive
-  sampling (10% head + tail keep) and with full request tracing +
-  solver probes on, interleaved so drift cancels.
-  Emits ``BENCH_obs.json`` with the measured throughput cost of each
-  state plus the traced run's Chrome trace-event artifact
-  (``TRACE_obs.json``, opens in chrome://tracing / Perfetto); *enforces*
-  the overhead gate (``OBS_GATE``: tracing off costs <2% RHS/s, sampled
-  tracing <2%, full tracing <10%, on the reference backend) and checks
-  that the span ledger reconciles with the service telemetry.
+* ``--smoke`` — scaled-down Figure 1 and Figure 5 configurations with
+  per-kernel wall times (``BENCH_smoke.json``).
+* ``--backends`` — every registered kernel backend on the ``--grid``³
+  (default 64³) Laplace3D SpMV/SpMM, with the SciPy-over-NumPy SpMV speedup
+  (``BENCH_backends.json``).
+* ``--solve`` — end-to-end metered and unmetered fp64 GMRES(50) on the
+  smoke matrices for every backend, with the speedup against the per-
+  iteration baseline recorded before the allocation-free hot path
+  (``BENCH_solve.json``).  ``benchmarks/check_solve_regression.py`` diffs a
+  fresh run against the committed file.
+* ``--solve-block`` — Block-GMRES at block size 8 against 8 sequential
+  GMRES solves, plain and poly16-preconditioned, on every backend.  Checks
+  that the block solutions match the sequential ones and enforces
+  :data:`BLOCK_GATE` (``BENCH_block.json``).
+* ``--serve`` — ``--clients`` threads, one request in flight each, against
+  an :class:`repro.serve.OperatorSession`: the unbatched width-1 scheduler
+  against the micro-batching one.  Records RHS/s and p50/p95 queue-wait,
+  solve and total latency; checks that a served request is bit-identical
+  to the direct solve and that a diverging request fails alone; enforces
+  :data:`SERVE_GATE` (``BENCH_serve.json``).
+* ``--farm`` — a skewed 8-operator mix (one hot tenant, seven cold) against
+  a :class:`repro.serve.SolverFarm` with fewer session slots than
+  operators, so LRU eviction and re-warm are part of the workload, and
+  against the naive one-warm-session-at-a-time baseline.  Records fleet
+  RHS/s, per-tenant latency and fairness shares and evictions; enforces
+  :data:`FARM_GATE` (``BENCH_farm.json``).
+* ``--obs`` — the ``--serve`` batched client mix with observability off,
+  metrics-only, sampled tracing and full tracing.  Checks that the span
+  ledgers reconcile with the service telemetry and enforces
+  :data:`OBS_GATE` (``BENCH_obs.json``).  The traced run's Chrome trace is
+  written beside the JSON: ``TRACE_obs.json`` by default and
+  ``TRACE_<x>.json`` for ``--out .../BENCH_<x>.json``
+  (:func:`trace_path_for`).
 
-The backend-selection/setup boilerplate those modes share lives in
-:func:`backend_context` / :func:`each_backend`.
+Every mode runs on one measurement core:
+
+* :func:`repeat_runs` runs named variants interleaved over N repeats, so
+  machine drift cancels out of their ratios, and returns every run;
+  callers keep the best wall time (:func:`best_run`);
+* :func:`drive_clients` runs one thread per client and times the fleet;
+* :func:`check` is an acceptance check that ``python -O`` does not strip;
+* :func:`gate` prints each gate failure and exits 1, or reports the gate
+  holds;
+* :data:`MODES` maps each CLI flag to its runner and help text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import platform
 import sys
+import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -83,11 +78,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def backend_context(backend: Optional[str] = None, *, meter: bool = False) -> Iterator[str]:
     """Install a pinned execution context for one benchmark measurement.
 
-    The boilerplate every solver-level benchmark used to repeat inline:
-    build an :class:`ExecutionContext` pinned to ``backend`` with metering
-    on or off, install it globally, and — crucially — restore the default
-    context afterwards even when the measurement raises.  Yields the
-    resolved backend name.
+    Builds an :class:`ExecutionContext` pinned to ``backend`` with metering
+    on or off, installs it globally, and restores the default context
+    afterwards even when the measurement raises.  Yields the resolved
+    backend name.
     """
     from repro.config import get_config
     from repro.linalg.context import ExecutionContext, set_context
@@ -101,12 +95,7 @@ def backend_context(backend: Optional[str] = None, *, meter: bool = False) -> It
 
 
 def each_backend(*, meter: bool = False) -> Iterator[str]:
-    """Iterate every registered backend with a pinned context installed.
-
-    ``for backend in each_backend(): ...`` replaces the
-    ``available_backends()`` loop + ``set_context`` + ``try/finally`` reset
-    dance that was duplicated across the solve/block/serve modes.
-    """
+    """Iterate every registered backend with a pinned context installed."""
     from repro.backends import available_backends
 
     for name in available_backends():
@@ -125,41 +114,89 @@ def run_once(benchmark, func):
 
 
 # ---------------------------------------------------------------------- #
+# measurement core (every CLI mode runs on these)                        #
+# ---------------------------------------------------------------------- #
+def timed(func: Callable, *args, **kwargs) -> Tuple[float, object]:
+    """Call ``func`` once; return ``(wall_seconds, result)``."""
+    start = time.perf_counter()
+    result = func(*args, **kwargs)
+    return time.perf_counter() - start, result
+
+
+def repeat_runs(
+    variants: Dict[str, Callable[[], tuple]], repeats: int
+) -> Dict[str, List[tuple]]:
+    """Run ``variants`` interleaved for ``repeats`` rounds; return every run.
+
+    Each round calls every variant once, in the dict's order, so machine
+    drift (thermal, noisy neighbours) hits all variants alike.  A variant
+    returns a tuple whose first item is its wall seconds (see
+    :func:`timed`).  Returns each variant's runs in order; at least one
+    round always runs.
+    """
+    runs: Dict[str, List[tuple]] = {name: [] for name in variants}
+    for _ in range(max(1, repeats)):
+        for name, variant in variants.items():
+            runs[name].append(variant())
+    return runs
+
+
+def best_run(runs: Sequence[tuple]) -> tuple:
+    """The run with the least wall seconds (the earliest one on ties)."""
+    return min(runs, key=lambda run: run[0])
+
+
+def drive_clients(clients: Dict[str, Callable[[], None]], label: str) -> float:
+    """Run each client on its own thread (named by its key); return the wall seconds.
+
+    The clock spans starting the first thread to joining the last.  Any
+    client exception becomes ``SystemExit`` tagged with ``label`` once all
+    threads have joined.
+    """
+    errors: List[Tuple[str, BaseException]] = []
+
+    def run(name: str, client: Callable[[], None]) -> None:
+        try:
+            client()
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append((name, exc))
+
+    threads = [
+        threading.Thread(target=run, args=(name, client), name=name)
+        for name, client in clients.items()
+    ]
+    start = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    wall = time.perf_counter() - start
+    if errors:
+        raise SystemExit(f"{label}: client errors: {errors[:3]}")
+    return wall
+
+
+def check(condition: bool, message: str) -> None:
+    """Acceptance check: raise ``SystemExit(message)`` unless ``condition``.
+
+    Unlike ``assert``, it still checks under ``python -O``.
+    """
+    if not condition:
+        raise SystemExit(message)
+
+
+def gate(tag: str, failures: List[str], holds: str) -> None:
+    """Print each gate failure and exit 1, or print that the gate holds."""
+    for failure in failures:
+        print(f"[{tag}] FAIL gate: {failure}", file=sys.stderr)
+    if failures:
+        raise SystemExit(1)
+    print(f"[{tag}] gate holds: {holds}")
+
+
+# ---------------------------------------------------------------------- #
 # machine-readable benchmark records                                     #
 # ---------------------------------------------------------------------- #
-def timer_entries(
-    timer,
-    *,
-    benchmark: str,
-    backend: str,
-    matrix: str = "",
-    extra: Optional[Dict[str, object]] = None,
-) -> List[Dict[str, object]]:
-    """Flatten a :class:`repro.perfmodel.timer.KernelTimer` into JSON rows.
-
-    One row per (kernel label, precision) bucket, tagged with the backend
-    and matrix so rows from different configurations can live in one file.
-    """
-    rows: List[Dict[str, object]] = []
-    for rec in timer.records:
-        row: Dict[str, object] = {
-            "benchmark": benchmark,
-            "backend": backend,
-            "matrix": matrix,
-            "kernel": rec.label,
-            "dtype": rec.precision,
-            "calls": rec.calls,
-            "wall_seconds": rec.wall_seconds,
-            "model_seconds": rec.model_seconds,
-            "bytes": rec.bytes,
-            "flops": rec.flops,
-        }
-        if extra:
-            row.update(extra)
-        rows.append(row)
-    return rows
-
-
 def write_bench_json(
     name: str,
     entries: List[Dict[str, object]],
@@ -167,10 +204,10 @@ def write_bench_json(
     summary: Optional[Dict[str, object]] = None,
     out: Optional[pathlib.Path] = None,
 ) -> pathlib.Path:
-    """Write ``BENCH_<name>.json`` under ``benchmarks/results/``.
+    """Write ``BENCH_<name>.json`` under ``benchmarks/results/`` (or ``out``).
 
     Returns the path written.  The payload is self-describing: a schema
-    tag, environment stamps, an optional summary block and the per-kernel
+    tag, environment stamps, an optional summary block and the
     ``entries``.
     """
     import numpy
@@ -190,13 +227,14 @@ def write_bench_json(
     if summary:
         payload["summary"] = summary
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"[{name}] wrote {path}")
     return path
 
 
 # ---------------------------------------------------------------------- #
-# CLI modes (used by CI)                                                 #
+# --smoke, --backends, --solve                                           #
 # ---------------------------------------------------------------------- #
-def _smoke_entries() -> List[Dict[str, object]]:
+def run_smoke(out: Optional[pathlib.Path] = None) -> pathlib.Path:
     """Scaled-down Figure 1 + Figure 5 runs with per-kernel wall times."""
     from repro.config import get_config
     from repro.experiments import ExperimentConfig, fig1_fd_laplace3d, fig5_kernel_speedups
@@ -210,37 +248,19 @@ def _smoke_entries() -> List[Dict[str, object]]:
         ("figure5_kernel_speedups", fig5_kernel_speedups.run, "three-PDE suite"),
     ):
         with use_timer(KernelTimer(label)) as timer:
-            start = time.perf_counter()
-            driver(cfg)
-            elapsed = time.perf_counter() - start
+            elapsed, _ = timed(driver, cfg)
+        # One entry per (kernel label, precision) bucket of the timer.
         entries.extend(
-            timer_entries(
-                timer,
-                benchmark=label,
-                backend=backend,
-                matrix=matrix,
-                extra={"total_wall_seconds": elapsed},
+            dict(
+                benchmark=label, backend=backend, matrix=matrix, kernel=rec.label,
+                dtype=rec.precision, calls=rec.calls, wall_seconds=rec.wall_seconds,
+                model_seconds=rec.model_seconds, bytes=rec.bytes, flops=rec.flops,
+                total_wall_seconds=elapsed,
             )
+            for rec in timer.records
         )
         print(f"[smoke] {label}: {elapsed:.1f} s wall", flush=True)
-    return entries
-
-
-def run_smoke(out: Optional[pathlib.Path] = None) -> pathlib.Path:
-    """CI smoke benchmark: quick fig1/fig5 configs → BENCH_smoke.json."""
-    path = write_bench_json("smoke", _smoke_entries(), out=out)
-    print(f"[smoke] wrote {path}")
-    return path
-
-
-def _time_kernel(func, *, repeats: int = 7) -> float:
-    """Best-of-``repeats`` wall time of ``func`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return write_bench_json("smoke", entries, out=out)
 
 
 def run_backend_comparison(
@@ -251,13 +271,15 @@ def run_backend_comparison(
 ) -> pathlib.Path:
     """Time every registered backend on Laplace3D SpMV/SpMM → BENCH_backends.json.
 
-    The reference configuration of the acceptance gate is the 64³ Laplace3D
-    matrix in fp64; the summary block records the SciPy-over-NumPy SpMV
-    speedup for that configuration.
+    Each kernel keeps its best of 7 runs.  The reference configuration of
+    the acceptance gate is the 64³ Laplace3D matrix in fp64.
     """
     from repro.backends import available_backends, get_backend
     from repro.config import rng
     from repro.matrices import laplace3d
+
+    def best_of_7(kernel, *args) -> float:
+        return best_run(repeat_runs({"kernel": partial(timed, kernel, *args)}, 7)["kernel"])[0]
 
     matrix64 = laplace3d(grid)
     entries: List[Dict[str, object]] = []
@@ -270,24 +292,16 @@ def run_backend_comparison(
         for name in available_backends():
             backend = get_backend(name)
             backend.spmv(matrix, x)  # warm-up pass also builds cached handles
-            t_spmv = _time_kernel(lambda: backend.spmv(matrix, x))
-            t_spmm = _time_kernel(lambda: backend.spmm(matrix, X))
+            t_spmv = best_of_7(backend.spmv, matrix, x)
+            t_spmm = best_of_7(backend.spmm, matrix, X)
             spmv_times.setdefault(dtype_name, {})[name] = t_spmv
             for kernel, seconds in (("SpMV", t_spmv), ("SpMM", t_spmm)):
-                entries.append(
-                    {
-                        "benchmark": "backend_comparison",
-                        "backend": name,
-                        "matrix": matrix.name,
-                        "kernel": kernel,
-                        "dtype": dtype_name,
-                        "calls": 1,
-                        "wall_seconds": seconds,
-                        "n_rows": matrix.n_rows,
-                        "nnz": matrix.nnz,
-                        "n_rhs": n_rhs if kernel == "SpMM" else 1,
-                    }
-                )
+                entries.append(dict(
+                    benchmark="backend_comparison", backend=name, matrix=matrix.name,
+                    kernel=kernel, dtype=dtype_name, calls=1, wall_seconds=seconds,
+                    n_rows=matrix.n_rows, nnz=matrix.nnz,
+                    n_rhs=n_rhs if kernel == "SpMM" else 1,
+                ))
             print(
                 f"[backends] {matrix.name} {dtype_name} {name}: "
                 f"SpMV {t_spmv * 1e3:.2f} ms, SpMM({n_rhs}) {t_spmm * 1e3:.2f} ms",
@@ -299,9 +313,7 @@ def run_backend_comparison(
             summary[f"spmv_speedup_scipy_over_numpy_{dtype_name}"] = (
                 times["numpy"] / times["scipy"]
             )
-    path = write_bench_json("backends", entries, summary=summary, out=out)
-    print(f"[backends] wrote {path}")
-    return path
+    return write_bench_json("backends", entries, summary=summary, out=out)
 
 
 #: Per-iteration wall time (µs) of the unmetered smoke GMRES(50) fp64 solve
@@ -328,12 +340,10 @@ SOLVE_GATE = {"backend": "numpy", "matrix": "Laplace3D24", "min_speedup": 1.25}
 def run_solve(out: Optional[pathlib.Path] = None, *, repeats: int = 3) -> pathlib.Path:
     """End-to-end GMRES(50) solve benchmark → BENCH_solve.json.
 
-    For every registered backend and smoke matrix, runs the fp64 GMRES(50)
-    solve twice over: *unmetered* (``meter=False`` — the metering fast path,
-    raw backend speed) and *metered* (timers active, cost model charged).
-    Records best-of-``repeats`` wall seconds and wall µs/iteration.
-    Iteration counts are deterministic (bit-identical numerics across the
-    out= refactor), so the CI diff can require them to match exactly.
+    Runs each solve *unmetered* (``meter=False``: raw backend speed) and
+    *metered* (timers active, cost model charged), one warm-up then
+    best-of-``repeats``.  Iteration counts are deterministic, so the CI
+    diff requires them to match exactly.
     """
     import numpy as np
 
@@ -349,28 +359,17 @@ def run_solve(out: Optional[pathlib.Path] = None, *, repeats: int = 3) -> pathli
         for label, matrix in matrices:
             b = np.ones(matrix.n_rows)
             for mode in ("unmetered", "metered"):
+                solve = partial(timed, gmres, matrix, b, **solve_kwargs)
                 with backend_context(backend, meter=(mode == "metered")):
-                    result = gmres(matrix, b, **solve_kwargs)  # warm-up
-                    best = float("inf")
-                    for _ in range(repeats):
-                        start = time.perf_counter()
-                        result = gmres(matrix, b, **solve_kwargs)
-                        best = min(best, time.perf_counter() - start)
+                    solve()  # warm-up
+                    best, result = best_run(repeat_runs({mode: solve}, repeats)[mode])
                 per_iter_us = best / result.iterations * 1e6
-                entries.append(
-                    {
-                        "benchmark": "solve",
-                        "backend": backend,
-                        "matrix": label,
-                        "solver": "gmres(50)",
-                        "dtype": "double",
-                        "mode": mode,
-                        "status": str(result.status),
-                        "iterations": result.iterations,
-                        "wall_seconds": best,
-                        "wall_per_iteration_us": per_iter_us,
-                    }
-                )
+                entries.append(dict(
+                    benchmark="solve", backend=backend, matrix=label, solver="gmres(50)",
+                    dtype="double", mode=mode, status=str(result.status),
+                    iterations=result.iterations, wall_seconds=best,
+                    wall_per_iteration_us=per_iter_us,
+                ))
                 if mode == "unmetered":
                     key = f"{backend}/{label}"
                     baseline = PRE_PR_BASELINE_US.get(key)
@@ -381,20 +380,17 @@ def run_solve(out: Optional[pathlib.Path] = None, *, repeats: int = 3) -> pathli
                     f"{result.iterations} iters, {per_iter_us:.1f} us/iter",
                     flush=True,
                 )
-    summary: Dict[str, object] = {
-        "solver": "gmres(50)",
-        "dtype": "double",
-        "tolerance": solve_kwargs["tol"],
-        "repeats": repeats,
-        "gate": SOLVE_GATE,
-        "pre_pr_baseline_us": dict(PRE_PR_BASELINE_US),
-        "unmetered_speedup_vs_pre_pr": speedups,
-    }
-    path = write_bench_json("solve", entries, summary=summary, out=out)
-    print(f"[solve] wrote {path}")
-    return path
+    summary = dict(
+        solver="gmres(50)", dtype="double", tolerance=solve_kwargs["tol"], repeats=repeats,
+        gate=SOLVE_GATE, pre_pr_baseline_us=dict(PRE_PR_BASELINE_US),
+        unmetered_speedup_vs_pre_pr=speedups,
+    )
+    return write_bench_json("solve", entries, summary=summary, out=out)
 
 
+# ---------------------------------------------------------------------- #
+# --solve-block                                                          #
+# ---------------------------------------------------------------------- #
 #: The batched-solve acceptance gate: on the reference backend, Block-GMRES
 #: at block size 8 must beat 8 sequential GMRES solves by this factor in
 #: per-RHS wall time, in the paper's polynomial-preconditioned solver
@@ -425,12 +421,10 @@ def run_solve_block(
 ) -> pathlib.Path:
     """Batched multi-RHS solve benchmark → BENCH_block.json (with gate).
 
-    For every backend and solver configuration, times ``block_size``
-    sequential fp64 GMRES solves against one Block-GMRES solve of the same
-    right-hand sides (both unmetered, best-of-``repeats``), verifies the
-    block solutions match the sequential ones to solver tolerance, and
-    records the per-RHS speedup.  Exits nonzero if the acceptance gate
-    configuration (:data:`BLOCK_GATE`) falls below its threshold.
+    Per backend and configuration: one warm-up of each path, then the
+    sequential and block solves interleaved, best-of-``repeats`` for the
+    gate configuration and a single run otherwise.  The last run's
+    solutions must converge and match to solver tolerance.
     """
     import numpy as np
 
@@ -447,59 +441,39 @@ def run_solve_block(
     parity: Dict[str, float] = {}
     for backend in each_backend():
         for config, degree, seq_restart, blk_restart in _BLOCK_CONFIGS:
-            precond = (
-                GmresPolynomialPreconditioner(matrix, degree=degree)
-                if degree is not None
-                else None
-            )
-            seq_kwargs = dict(
-                restart=seq_restart,
-                tol=tol,
-                max_restarts=10,
-                preconditioner=precond,
-                fp64_check=True,
-            )
-            blk_kwargs = dict(
-                restart=blk_restart,
-                tol=tol,
-                max_restarts=60,
-                preconditioner=precond,
-                fp64_check=True,
-            )
+            precond = GmresPolynomialPreconditioner(matrix, degree=degree) if degree else None
+            common_kwargs = dict(tol=tol, preconditioner=precond, fp64_check=True)
 
             def run_sequential():
-                return [gmres(matrix, B[:, c], **seq_kwargs) for c in range(block_size)]
+                return [
+                    gmres(matrix, B[:, c], restart=seq_restart, max_restarts=10,
+                          **common_kwargs)
+                    for c in range(block_size)
+                ]
 
             def run_block():
-                return block_gmres(matrix, B, **blk_kwargs)
+                return block_gmres(matrix, B, restart=blk_restart, max_restarts=60,
+                                   **common_kwargs)
 
-            # Interleave the sequential and block measurements so machine
-            # drift (thermal, noisy neighbours) cancels out of the ratio,
-            # as the committed --solve baselines were recorded.  Only the
-            # gate configuration earns the full repeat count.
-            n_reps = repeats if config == BLOCK_GATE["config"] else 1
-            seq_results = run_sequential()  # warm-up (plans, BLAS, caches)
-            blk = run_block()  # warm-up
-            t_seq = float("inf")
-            t_blk = float("inf")
-            for _ in range(n_reps):
-                start = time.perf_counter()
-                seq_results = run_sequential()
-                t_seq = min(t_seq, time.perf_counter() - start)
-                start = time.perf_counter()
-                blk = run_block()
-                t_blk = min(t_blk, time.perf_counter() - start)
+            run_sequential()  # warm-up (plans, BLAS, caches)
+            run_block()  # warm-up
+            runs = repeat_runs(
+                {"sequential": partial(timed, run_sequential),
+                 "block": partial(timed, run_block)},
+                repeats if config == BLOCK_GATE["config"] else 1,
+            )
+            t_seq, t_blk = best_run(runs["sequential"])[0], best_run(runs["block"])[0]
+            seq_results, blk = runs["sequential"][-1][1], runs["block"][-1][1]
 
             # Correctness: every column converged on both paths and the
             # block solutions match the sequential ones to solver
             # tolerance (the residual criterion both paths satisfy).
-            assert all(r.converged for r in seq_results), (
-                f"sequential {backend}/{config} did not converge"
-            )
-            assert blk.converged, f"block {backend}/{config} did not converge"
-            assert float(blk.relative_residuals_fp64.max()) <= tol * 1.01, (
-                f"block {backend}/{config} residual above tolerance"
-            )
+            where = f"{backend}/{config}"
+            check(all(r.converged for r in seq_results),
+                  f"sequential {where} did not converge")
+            check(blk.converged, f"block {where} did not converge")
+            check(float(blk.relative_residuals_fp64.max()) <= tol * 1.01,
+                  f"block {where} residual above tolerance")
             max_diff = max(
                 float(
                     np.linalg.norm(blk.X[:, c] - seq_results[c].x)
@@ -507,22 +481,14 @@ def run_solve_block(
                 )
                 for c in range(block_size)
             )
-            assert max_diff < 1e-5, (
-                f"block {backend}/{config} drifted from sequential: {max_diff:.2e}"
-            )
+            check(max_diff < 1e-5, f"block {where} drifted from sequential: {max_diff:.2e}")
 
-            key = f"{backend}/{config}"
-            speedups[key] = t_seq / t_blk
-            parity[key] = max_diff
-            common = {
-                "benchmark": "solve_block",
-                "backend": backend,
-                "matrix": label,
-                "config": config,
-                "dtype": "double",
-                "block_size": block_size,
-                "tolerance": tol,
-            }
+            speedups[where] = t_seq / t_blk
+            parity[where] = max_diff
+            common = dict(
+                benchmark="solve_block", backend=backend, matrix=label, config=config,
+                dtype="double", block_size=block_size, tolerance=tol,
+            )
             entries.append(
                 dict(
                     common,
@@ -546,38 +512,96 @@ def run_solve_block(
                 )
             )
             print(
-                f"[block] {backend}/{config}: sequential {t_seq * 1e3:.0f} ms, "
+                f"[block] {where}: sequential {t_seq * 1e3:.0f} ms, "
                 f"block {t_blk * 1e3:.0f} ms -> {t_seq / t_blk:.2f}x per RHS "
                 f"(max drift {max_diff:.1e})",
                 flush=True,
             )
 
-    summary: Dict[str, object] = {
-        "grid": grid,
-        "block_size": block_size,
-        "tolerance": tol,
-        "repeats": repeats,
-        "gate": dict(BLOCK_GATE),
-        "per_rhs_speedup_block_over_sequential": speedups,
-        "max_solution_diff_vs_sequential": parity,
-    }
+    summary = dict(
+        grid=grid, block_size=block_size, tolerance=tol, repeats=repeats,
+        gate=dict(BLOCK_GATE), per_rhs_speedup_block_over_sequential=speedups,
+        max_solution_diff_vs_sequential=parity,
+    )
     path = write_bench_json("block", entries, summary=summary, out=out)
-    print(f"[block] wrote {path}")
-
     gate_key = f"{BLOCK_GATE['backend']}/{BLOCK_GATE['config']}"
-    gate_speedup = speedups.get(gate_key, 0.0)
-    if gate_speedup < BLOCK_GATE["min_speedup"]:
-        print(
-            f"[block] FAIL gate: {gate_key} per-RHS speedup "
-            f"{gate_speedup:.2f}x < {BLOCK_GATE['min_speedup']}x",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-    print(
-        f"[block] gate holds: {gate_key} {gate_speedup:.2f}x >= "
-        f"{BLOCK_GATE['min_speedup']}x per RHS"
+    speedup, floor = speedups.get(gate_key, 0.0), BLOCK_GATE["min_speedup"]
+    gate(
+        "block",
+        [f"{gate_key} per-RHS speedup {speedup:.2f}x < {floor}x"] if speedup < floor else [],
+        f"{gate_key} {speedup:.2f}x >= {floor}x per RHS",
     )
     return path
+
+
+# ---------------------------------------------------------------------- #
+# --serve and --obs: one workload                                        #
+# ---------------------------------------------------------------------- #
+class ServeWorkload:
+    """The ``--serve``/``--obs`` workload: ``clients`` threads, each
+    submitting ``requests_per_client`` right-hand sides one at a time to a
+    session on the poly16-preconditioned Laplace3D``grid`` operator."""
+
+    def __init__(self, grid: int, clients: int, requests_per_client: int, tol: float):
+        from repro.config import rng
+        from repro.matrices import laplace3d
+        from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
+
+        self.grid, self.label = grid, f"Laplace3D{grid}"
+        self.matrix = laplace3d(grid)
+        self.precond = GmresPolynomialPreconditioner(self.matrix, degree=16)
+        self.clients, self.requests_per_client, self.tol = clients, requests_per_client, tol
+        self.total = clients * requests_per_client
+        self.B = rng(2026).standard_normal((self.matrix.n_rows, self.total))
+
+    @contextmanager
+    def session(self, **session_kwargs):
+        """A warmed :class:`OperatorSession` on the workload, closed on exit."""
+        from repro.serve import OperatorSession
+
+        session = OperatorSession(
+            self.matrix, preconditioner=self.precond, tol=self.tol, **session_kwargs
+        )
+        try:
+            # Warm both dispatch widths through the telemetry-free direct
+            # path so the timed window measures steady state.
+            session.solve(self.B[:, 0])
+            if session.max_block > 1:
+                session.solve_many(self.B[:, : session.max_block])
+            yield session
+        finally:
+            session.close()
+
+    def drive(self, session, label: str) -> float:
+        """Run the client fleet once against ``session``; return its wall seconds."""
+
+        def client(c: int) -> None:
+            for j in range(self.requests_per_client):
+                idx = c * self.requests_per_client + j
+                result = session.submit(self.B[:, idx]).result(timeout=600)
+                check(result.converged, f"request {idx} ended {result.status}")
+                check(result.relative_residual_fp64 <= self.tol * 1.01,
+                      f"request {idx} residual above tolerance")
+
+        return drive_clients(
+            {f"client-{c}": partial(client, c) for c in range(self.clients)}, label
+        )
+
+    def entry(self, benchmark: str, backend: str, session_kwargs: Dict[str, object],
+              wall: float, stats, **extra) -> Dict[str, object]:
+        """The BENCH entry of one measured fleet run; ``extra`` adds keys."""
+        return dict(
+            benchmark=benchmark, backend=backend, matrix=self.label, config="poly16",
+            dtype="double", clients=self.clients, requests=self.total, tolerance=self.tol,
+            max_block=session_kwargs["max_block"], wall_seconds=wall,
+            rhs_per_second=self.total / wall, latency_p50_ms=stats.latency.p50_ms,
+            latency_p95_ms=stats.latency.p95_ms, **extra,
+        )
+
+    def summary(self, **extra) -> Dict[str, object]:
+        """The BENCH summary block of the workload; ``extra`` adds keys."""
+        return dict(grid=self.grid, clients=self.clients,
+                    requests_per_client=self.requests_per_client, tolerance=self.tol, **extra)
 
 
 #: The serving acceptance gate: with >= 8 concurrent clients on the paper's
@@ -621,153 +645,64 @@ def run_serve(
 ) -> pathlib.Path:
     """Solver-service throughput benchmark → BENCH_serve.json (with gate).
 
-    Drives ``clients`` concurrent client threads against one
-    :class:`repro.serve.OperatorSession` (each client submits one
-    right-hand side at a time and waits for its future — the serving
-    workload shape), once with the unbatched width-1 scheduler and once
-    with micro-batching enabled, for every registered backend.  Records
-    RHS/s and p50/p95 queue-wait/solve/total latency from the service
-    telemetry, checks the served results, and enforces :data:`SERVE_GATE`.
-
-    Also asserts the two serving acceptance properties end to end: a
-    request served through the unbatched scheduler is *bit-identical* to
-    the session's direct ``solve()``, and a batch containing one
-    non-finite (diverging) right-hand side still completes its other
-    requests.
+    The unbatched and batched modes are interleaved over ``repeats``; each
+    keeps its fastest fleet run and that run's service telemetry.
     """
-    import threading
-
     import numpy as np
 
-    from repro.config import rng
-    from repro.matrices import laplace3d
-    from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
-    from repro.serve import OperatorSession
-
-    matrix = laplace3d(grid)
-    label = f"Laplace3D{grid}"
-    precond = GmresPolynomialPreconditioner(matrix, degree=16)
-    total = clients * requests_per_client
-    B = rng(2026).standard_normal((matrix.n_rows, total))
+    work = ServeWorkload(grid, clients, requests_per_client, tol)
     entries: List[Dict[str, object]] = []
     speedups: Dict[str, float] = {}
 
     for backend in each_backend():
 
-        def drive_clients(session, mode):
-            """Run the client fleet once; returns the wall seconds."""
-            errors: List[BaseException] = []
-
-            def client(c):
-                try:
-                    for j in range(requests_per_client):
-                        idx = c * requests_per_client + j
-                        result = session.submit(B[:, idx]).result(timeout=600)
-                        assert result.converged, (
-                            f"request {idx} ended {result.status}"
-                        )
-                        assert result.relative_residual_fp64 <= tol * 1.01
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(c,), name=f"client-{c}")
-                for c in range(clients)
-            ]
-            start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall = time.perf_counter() - start
-            if errors:
-                raise SystemExit(
-                    f"[serve] {backend}/{mode}: client errors: {errors[:3]}"
-                )
-            return wall
-
-        # Interleave the unbatched and batched measurements across repeats
-        # so machine drift cancels out of the throughput ratio (the same
-        # discipline the --solve-block gate uses); keep each mode's best.
-        best: Dict[str, tuple] = {}
-        for _ in range(max(1, repeats)):
-            for mode, session_kwargs in _SERVE_MODES:
-                session = OperatorSession(
-                    matrix, preconditioner=precond, tol=tol, **session_kwargs
-                )
-                try:
-                    # Warm both dispatch widths through the telemetry-free
-                    # direct path so the timed window measures steady state.
-                    session.solve(B[:, 0])
-                    if session.max_block > 1:
-                        session.solve_many(B[:, : session.max_block])
-                    wall = drive_clients(session, mode)
-                    stats = session.stats()
-
+        def serve_once(mode: str, session_kwargs: Dict[str, object]) -> tuple:
+            with work.session(**session_kwargs) as session:
+                wall = work.drive(session, f"[serve] {backend}/{mode}")
+                stats = session.stats()
+                if mode == "unbatched":
                     # Bit-parity acceptance: unbatched served == direct.
-                    if mode == "unbatched":
-                        served = session.submit(B[:, 0]).result(timeout=600)
-                        direct = session.solve(B[:, 0])
-                        assert np.array_equal(served.x, direct.x), (
-                            f"[serve] {backend}: served result drifted from "
-                            "the direct solve path"
-                        )
+                    served = session.submit(work.B[:, 0]).result(timeout=600)
+                    check(np.array_equal(served.x, session.solve(work.B[:, 0]).x),
+                          f"[serve] {backend}: served result drifted from the "
+                          "direct solve path")
+                if mode == "batched":
                     # Divergence isolation: a NaN request fails alone while
                     # the good requests sharing the window complete.
-                    if mode == "batched":
-                        good = [session.submit(B[:, c]) for c in range(3)]
-                        bad = session.submit(np.full(matrix.n_rows, np.nan))
-                        assert all(g.result(timeout=600).converged for g in good)
-                        try:
-                            bad.result(timeout=600)
-                            raise SystemExit(
-                                f"[serve] {backend}: non-finite request "
-                                "did not fail"
-                            )
-                        except ValueError:
-                            pass
-                finally:
-                    session.close()
-                assert stats.requests_completed >= total
-                if mode not in best or wall < best[mode][0]:
-                    best[mode] = (wall, stats)
+                    good = [session.submit(work.B[:, c]) for c in range(3)]
+                    bad = session.submit(np.full(work.matrix.n_rows, np.nan))
+                    check(all(g.result(timeout=600).converged for g in good),
+                          f"[serve] {backend}: a diverging request failed its batch")
+                    check(isinstance(bad.exception(timeout=600), ValueError),
+                          f"[serve] {backend}: non-finite request did not fail")
+            check(stats.requests_completed >= work.total,
+                  f"[serve] {backend}/{mode}: only {stats.requests_completed} completed")
+            return wall, stats
 
+        runs = repeat_runs(
+            {mode: partial(serve_once, mode, kwargs) for mode, kwargs in _SERVE_MODES},
+            repeats,
+        )
         throughput: Dict[str, float] = {}
         for mode, session_kwargs in _SERVE_MODES:
-            wall, stats = best[mode]
-            rps = total / wall
-            throughput[mode] = rps
-            entries.append(
-                {
-                    "benchmark": "serve",
-                    "backend": backend,
-                    "matrix": label,
-                    "config": "poly16",
-                    "dtype": "double",
-                    "mode": mode,
-                    "clients": clients,
-                    "requests": total,
-                    "tolerance": tol,
-                    "max_block": session_kwargs["max_block"],
-                    "max_wait_ms": session_kwargs["max_wait_ms"],
-                    "restart": session_kwargs["restart"],
-                    "wall_seconds": wall,
-                    "rhs_per_second": rps,
-                    "queue_wait_p50_ms": stats.queue_wait.p50_ms,
-                    "queue_wait_p95_ms": stats.queue_wait.p95_ms,
-                    "solve_p50_ms": stats.solve.p50_ms,
-                    "solve_p95_ms": stats.solve.p95_ms,
-                    "latency_p50_ms": stats.latency.p50_ms,
-                    "latency_p95_ms": stats.latency.p95_ms,
-                    "mean_batch_occupancy": stats.mean_batch_occupancy,
-                    "batch_occupancy": {
-                        str(k): v for k, v in sorted(stats.batch_occupancy.items())
-                    },
-                    "block_iterations": stats.block_iterations,
-                }
+            wall, stats = best_run(runs[mode])
+            entry = work.entry(
+                "serve", backend, session_kwargs, wall, stats, mode=mode,
+                max_wait_ms=session_kwargs["max_wait_ms"], restart=session_kwargs["restart"],
+                queue_wait_p50_ms=stats.queue_wait.p50_ms,
+                queue_wait_p95_ms=stats.queue_wait.p95_ms,
+                solve_p50_ms=stats.solve.p50_ms,
+                solve_p95_ms=stats.solve.p95_ms,
+                mean_batch_occupancy=stats.mean_batch_occupancy,
+                batch_occupancy={
+                    str(k): v for k, v in sorted(stats.batch_occupancy.items())
+                },
+                block_iterations=stats.block_iterations,
             )
+            entries.append(entry)
+            rps = throughput[mode] = entry["rhs_per_second"]
             print(
-                f"[serve] {backend}/{mode}: {total} requests from {clients} "
+                f"[serve] {backend}/{mode}: {work.total} requests from {clients} "
                 f"clients in {wall:.2f} s -> {rps:.1f} RHS/s "
                 f"(latency p50 {stats.latency.p50_ms:.0f} ms / "
                 f"p95 {stats.latency.p95_ms:.0f} ms, mean occupancy "
@@ -776,33 +711,21 @@ def run_serve(
             )
         speedups[backend] = throughput["batched"] / throughput["unbatched"]
         print(
-            f"[serve] {backend}: batched/unbatched throughput "
-            f"{speedups[backend]:.2f}x",
+            f"[serve] {backend}: batched/unbatched throughput {speedups[backend]:.2f}x",
             flush=True,
         )
 
-    summary: Dict[str, object] = {
-        "grid": grid,
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "tolerance": tol,
-        "gate": dict(SERVE_GATE),
-        "throughput_speedup_batched_over_unbatched": speedups,
-    }
+    summary = work.summary(
+        gate=dict(SERVE_GATE), throughput_speedup_batched_over_unbatched=speedups
+    )
     path = write_bench_json("serve", entries, summary=summary, out=out)
-    print(f"[serve] wrote {path}")
-
-    gate_speedup = speedups.get(SERVE_GATE["backend"], 0.0)
-    if gate_speedup < SERVE_GATE["min_speedup"]:
-        print(
-            f"[serve] FAIL gate: {SERVE_GATE['backend']} batched serving "
-            f"{gate_speedup:.2f}x < {SERVE_GATE['min_speedup']}x RHS/s",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-    print(
-        f"[serve] gate holds: {SERVE_GATE['backend']} batched serving "
-        f"{gate_speedup:.2f}x >= {SERVE_GATE['min_speedup']}x RHS/s"
+    backend, floor = SERVE_GATE["backend"], SERVE_GATE["min_speedup"]
+    speedup = speedups.get(backend, 0.0)
+    gate(
+        "serve",
+        [f"{backend} batched serving {speedup:.2f}x < {floor}x RHS/s"]
+        if speedup < floor else [],
+        f"{backend} batched serving {speedup:.2f}x >= {floor}x RHS/s",
     )
     return path
 
@@ -826,6 +749,17 @@ OBS_GATE = {
 _OBS_VARIANTS = ("baseline", "untraced", "sampled", "traced")
 
 
+def trace_path_for(out: Optional[pathlib.Path]) -> pathlib.Path:
+    """Where ``--obs`` writes its Chrome trace: beside its JSON.
+
+    ``TRACE_obs.json`` in ``benchmarks/results/`` without ``--out``; for
+    ``--out DIR/BENCH_<x>.json`` it is ``DIR/TRACE_<x>.json``.
+    """
+    if out is None:
+        return RESULTS_DIR / "TRACE_obs.json"
+    return out.with_name("TRACE_" + out.name.removeprefix("BENCH_"))
+
+
 def run_obs(
     out: Optional[pathlib.Path] = None,
     *,
@@ -834,58 +768,28 @@ def run_obs(
     requests_per_client: int = 3,
     tol: float = 1e-8,
     repeats: int = 6,
-    trace_out: Optional[pathlib.Path] = None,
 ) -> pathlib.Path:
     """Observability overhead benchmark → BENCH_obs.json (with gate).
 
-    Replays the ``--serve`` batched client mix (``clients`` threads, one
-    in-flight request each) against three identically configured sessions
-    that differ only in instrumentation:
-
-    * ``baseline`` — :meth:`repro.obs.Observability.disabled`: no tracer,
-      no metrics registry (the PR-8 state);
-    * ``untraced`` — metrics collectors registered, tracing off (the
-      library default);
-    * ``sampled`` — adaptive tracing (:class:`repro.obs.Sampler`, 10%
-      head rate + tail keep): the always-on production configuration;
-    * ``traced`` — a live :class:`repro.obs.Tracer` spanning every
-      request plus solver probes, with metrics on.
-
-    The variants are interleaved across ``repeats`` and each keeps its
-    best wall time, so machine drift cancels out of the overhead ratios.
-    The traced run's span ledger must reconcile with the service
-    telemetry (one ``request`` root per submitted request,
-    ``submitted == completed + failed``); its Chrome trace-event export
-    is written next to the JSON (``TRACE_obs.json``) and the gate
-    (:data:`OBS_GATE`) bounds both overhead ratios on the reference
-    backend.
+    Sessions identical to the ``--serve`` batched mode except for their
+    instrumentation: ``baseline`` (:meth:`repro.obs.Observability.disabled`),
+    ``untraced`` (metrics collectors, tracing off: the library default),
+    ``sampled`` (:class:`repro.obs.Sampler`, 10% head rate + tail keep) and
+    ``traced`` (a :class:`repro.obs.Tracer` on every request plus solver
+    probes, metrics on).  The variants are interleaved over ``repeats`` and
+    each keeps its best wall time.  Every run's span ledger must reconcile
+    with the service telemetry.  The reference backend's best traced run is
+    exported to :func:`trace_path_for` ``(out)``.
     """
-    import threading
-
-    import numpy as np
-
-    from repro.config import rng
-    from repro.matrices import laplace3d
     from repro.obs import (
-        MetricsRegistry,
-        Observability,
-        Sampler,
-        Tracer,
-        export_chrome_trace,
-        prometheus_text,
+        MetricsRegistry, Observability, Sampler, Tracer, export_chrome_trace, prometheus_text,
     )
-    from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
-    from repro.serve import OperatorSession
 
-    matrix = laplace3d(grid)
-    label = f"Laplace3D{grid}"
-    precond = GmresPolynomialPreconditioner(matrix, degree=16)
-    total = clients * requests_per_client
-    B = rng(2026).standard_normal((matrix.n_rows, total))
+    work = ServeWorkload(grid, clients, requests_per_client, tol)
     session_kwargs = dict(_SERVE_MODES[1][1])  # the batched serving config
     entries: List[Dict[str, object]] = []
     costs: Dict[str, Dict[str, float]] = {}
-    trace_path = trace_out or (RESULTS_DIR / "TRACE_obs.json")
+    trace_path = trace_path_for(out)
 
     def make_obs(variant: str) -> "Observability":
         if variant == "baseline":
@@ -897,216 +801,121 @@ def run_obs(
                 tracer=Tracer(sampler=Sampler(head_rate=0.1, tail_keep=True)),
                 registry=MetricsRegistry(),
             )
-        return Observability(
-            tracer=Tracer(), registry=MetricsRegistry()
-        )
+        return Observability(tracer=Tracer(), registry=MetricsRegistry())
 
     for backend in each_backend():
 
-        def drive_clients(session):
-            errors: List[BaseException] = []
+        def observe_once(variant: str) -> tuple:
+            where = f"[obs] {backend}/{variant}"
+            obs = make_obs(variant)
+            with work.session(obs=obs, **session_kwargs) as session:
+                wall = work.drive(session, where)
+                stats = session.stats()
+                # Scrape before close: a closed session's collector
+                # retires itself and drops its series.
+                scrape = prometheus_text(obs.registry) if obs.registry is not None else ""
+            submitted = stats.requests_submitted
+            check(stats.requests_completed >= work.total,
+                  f"{where}: only {stats.requests_completed} completed")
+            tracer = obs.tracer
+            if variant == "traced":
+                # Span ledger reconciles with the service telemetry.
+                check(tracer.open_spans == 0, f"{where}: span leak under load")
+                roots = [s for s in tracer.finished_spans() if s.name == "request"]
+                check(tracer.dropped_spans > 0 or len(roots) == submitted,
+                      f"{where}: {len(roots)} request spans != {submitted} "
+                      "submitted requests")
+                check(submitted == stats.requests_completed + stats.requests_failed,
+                      f"{where}: telemetry skew")
+            if variant == "sampled":
+                # Sampled ledger reconciles: every request either left a
+                # kept root or was counted sampled-out — and with an
+                # all-converged workload the kept set is the head stride
+                # plus the tail's slowest-decile keeps.
+                check(tracer.open_spans == 0, f"{where}: span leak under sampling")
+                roots = [
+                    s for s in tracer.finished_spans()
+                    if s.parent_id is None and s.name == "request"
+                ]
+                check(tracer.dropped_spans > 0
+                      or len(roots) + tracer.sampled_out_traces == submitted,
+                      f"{where}: sampled ledger skew: {len(roots)} kept + "
+                      f"{tracer.sampled_out_traces} dropped != {submitted} submitted")
+                kept_failures = [
+                    s for s in roots
+                    if s.attrs.get("outcome") not in ("converged", "cancelled")
+                    and s.attrs.get("sampled") == "tail"
+                ]
+                check(not stats.requests_failed or bool(kept_failures),
+                      f"{where}: failed requests were sampled out")
+            if variant == "untraced":
+                # The collectors actually publish on scrape.
+                check("repro_requests_submitted_total" in scrape,
+                      f"{where}: metrics collector silent")
+            return wall, stats, obs
 
-            def client(c):
-                try:
-                    for j in range(requests_per_client):
-                        idx = c * requests_per_client + j
-                        result = session.submit(B[:, idx]).result(timeout=600)
-                        assert result.converged, (
-                            f"request {idx} ended {result.status}"
-                        )
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(c,), name=f"client-{c}")
-                for c in range(clients)
-            ]
-            start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall = time.perf_counter() - start
-            if errors:
-                raise SystemExit(f"[obs] {backend}: client errors: {errors[:3]}")
-            return wall
-
-        best: Dict[str, tuple] = {}
-        for _ in range(max(1, repeats)):
-            for variant in _OBS_VARIANTS:
-                obs = make_obs(variant)
-                session = OperatorSession(
-                    matrix, preconditioner=precond, tol=tol, obs=obs,
-                    **session_kwargs,
-                )
-                try:
-                    session.solve(B[:, 0])
-                    session.solve_many(B[:, : session.max_block])
-                    wall = drive_clients(session)
-                    stats = session.stats()
-                    # Scrape before close: a closed session's collector
-                    # retires itself and drops its series.
-                    scrape = (
-                        prometheus_text(obs.registry)
-                        if obs.registry is not None
-                        else ""
-                    )
-                finally:
-                    session.close()
-                assert stats.requests_completed >= total
-                if variant == "traced":
-                    # Span ledger reconciles with the service telemetry.
-                    tracer = obs.tracer
-                    assert tracer.open_spans == 0, "span leak under load"
-                    roots = [
-                        s for s in tracer.finished_spans()
-                        if s.name == "request"
-                    ]
-                    dropped = tracer.dropped_spans
-                    if dropped == 0 and len(roots) != stats.requests_submitted:
-                        raise SystemExit(
-                            f"[obs] {backend}: {len(roots)} request spans != "
-                            f"{stats.requests_submitted} submitted requests"
-                        )
-                    if stats.requests_submitted != (
-                        stats.requests_completed + stats.requests_failed
-                    ):
-                        raise SystemExit(f"[obs] {backend}: telemetry skew")
-                if variant == "sampled":
-                    # Sampled ledger reconciles: every request either left
-                    # a kept root or was counted sampled-out — and with an
-                    # all-converged workload the kept set is the head
-                    # stride plus the tail's slowest-decile keeps.
-                    tracer = obs.tracer
-                    assert tracer.open_spans == 0, "span leak under sampling"
-                    roots = [
-                        s for s in tracer.finished_spans()
-                        if s.parent_id is None and s.name == "request"
-                    ]
-                    if tracer.dropped_spans == 0 and (
-                        len(roots) + tracer.sampled_out_traces
-                        != stats.requests_submitted
-                    ):
-                        raise SystemExit(
-                            f"[obs] {backend}: sampled ledger skew: "
-                            f"{len(roots)} kept + {tracer.sampled_out_traces} "
-                            f"dropped != {stats.requests_submitted} submitted"
-                        )
-                    bad = [
-                        s for s in roots
-                        if s.attrs.get("outcome") not in ("converged", "cancelled")
-                        and s.attrs.get("sampled") == "tail"
-                    ]
-                    if stats.requests_failed and not bad:
-                        raise SystemExit(
-                            f"[obs] {backend}: failed requests were sampled out"
-                        )
-                if variant == "untraced":
-                    # The collectors actually publish on scrape.
-                    if "repro_requests_submitted_total" not in scrape:
-                        raise SystemExit(
-                            f"[obs] {backend}: metrics collector silent"
-                        )
-                if variant not in best or wall < best[variant][0]:
-                    best[variant] = (wall, stats, obs)
-
-        baseline_rps = total / best["baseline"][0]
+        runs = repeat_runs({v: partial(observe_once, v) for v in _OBS_VARIANTS}, repeats)
+        best = {variant: best_run(runs[variant]) for variant in _OBS_VARIANTS}
+        baseline_rps = work.total / best["baseline"][0]
         costs[backend] = {}
         for variant in _OBS_VARIANTS:
             wall, stats, obs = best[variant]
-            rps = total / wall
-            cost = 1.0 - rps / baseline_rps
+            cost = 1.0 - work.total / wall / baseline_rps
             if variant != "baseline":
                 costs[backend][variant] = cost
-            entry: Dict[str, object] = {
-                "benchmark": "obs",
-                "backend": backend,
-                "matrix": label,
-                "config": "poly16",
-                "dtype": "double",
-                "variant": variant,
-                "clients": clients,
-                "requests": total,
-                "tolerance": tol,
-                "max_block": session_kwargs["max_block"],
-                "wall_seconds": wall,
-                "rhs_per_second": rps,
-                "throughput_cost_vs_baseline": max(0.0, cost),
-                "latency_p50_ms": stats.latency.p50_ms,
-                "latency_p95_ms": stats.latency.p95_ms,
-            }
+            entry = work.entry(
+                "obs", backend, session_kwargs, wall, stats, variant=variant,
+                throughput_cost_vs_baseline=max(0.0, cost),
+            )
+            if variant in ("traced", "sampled"):
+                entry["finished_spans"] = len(obs.tracer.finished_spans())
             if variant == "traced":
-                tracer = best["traced"][2].tracer
-                entry["finished_spans"] = len(tracer.finished_spans())
-                entry["dropped_spans"] = tracer.dropped_spans
+                entry["dropped_spans"] = obs.tracer.dropped_spans
             if variant == "sampled":
-                tracer = best["sampled"][2].tracer
-                entry["finished_spans"] = len(tracer.finished_spans())
-                entry["sampled_out_traces"] = tracer.sampled_out_traces
-                entry["head_rate"] = tracer.sampler.head_rate
+                entry["sampled_out_traces"] = obs.tracer.sampled_out_traces
+                entry["head_rate"] = obs.tracer.sampler.head_rate
             entries.append(entry)
+            vs_baseline = f" ({100 * cost:+.1f}% vs baseline)" if variant != "baseline" else ""
             print(
-                f"[obs] {backend}/{variant}: {total} requests in "
-                f"{wall:.2f} s -> {rps:.1f} RHS/s"
-                + (
-                    f" ({100 * cost:+.1f}% vs baseline)"
-                    if variant != "baseline"
-                    else ""
-                ),
+                f"[obs] {backend}/{variant}: {work.total} requests in "
+                f"{wall:.2f} s -> {entry['rhs_per_second']:.1f} RHS/s{vs_baseline}",
                 flush=True,
             )
 
         if backend == OBS_GATE["backend"]:
             # Export the reference backend's traced run for Perfetto.
-            tracer = best["traced"][2].tracer
-            payload = export_chrome_trace(trace_path, tracer=tracer)
-            print(
-                f"[obs] wrote {trace_path} "
-                f"({len(payload['traceEvents'])} trace events)"
-            )
+            trace_path.parent.mkdir(parents=True, exist_ok=True)
+            payload = export_chrome_trace(trace_path, tracer=best["traced"][2].tracer)
+            print(f"[obs] wrote {trace_path} ({len(payload['traceEvents'])} trace events)")
 
-    summary: Dict[str, object] = {
-        "grid": grid,
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "tolerance": tol,
-        "gate": dict(OBS_GATE),
-        "throughput_cost_vs_baseline": costs,
-        "chrome_trace": trace_path.name,
-    }
+    summary = work.summary(
+        gate=dict(OBS_GATE), throughput_cost_vs_baseline=costs, chrome_trace=trace_path.name
+    )
     path = write_bench_json("obs", entries, summary=summary, out=out)
-    print(f"[obs] wrote {path}")
-
-    gate_costs = costs.get(OBS_GATE["backend"], {})
-    failures = []
-    if gate_costs.get("untraced", 1.0) > OBS_GATE["max_untraced_cost"]:
-        failures.append(
-            f"metrics-only serving cost {100 * gate_costs.get('untraced', 1.0):.1f}% "
-            f"> {100 * OBS_GATE['max_untraced_cost']:.0f}% RHS/s"
-        )
-    if gate_costs.get("sampled", 1.0) > OBS_GATE["max_sampled_cost"]:
-        failures.append(
-            f"sampled tracing cost {100 * gate_costs.get('sampled', 1.0):.1f}% "
-            f"> {100 * OBS_GATE['max_sampled_cost']:.0f}% RHS/s"
-        )
-    if gate_costs.get("traced", 1.0) > OBS_GATE["max_traced_cost"]:
-        failures.append(
-            f"traced serving cost {100 * gate_costs.get('traced', 1.0):.1f}% "
-            f"> {100 * OBS_GATE['max_traced_cost']:.0f}% RHS/s"
-        )
-    if failures:
-        for failure in failures:
-            print(f"[obs] FAIL gate ({OBS_GATE['backend']}): {failure}", file=sys.stderr)
-        raise SystemExit(1)
-    print(
-        f"[obs] gate holds on {OBS_GATE['backend']}: tracing off "
-        f"{100 * gate_costs.get('untraced', 0.0):+.1f}%, sampled "
+    backend = OBS_GATE["backend"]
+    gate_costs = costs.get(backend, {})
+    gate(
+        "obs",
+        [
+            f"{backend} {what} cost {100 * gate_costs.get(variant, 1.0):.1f}% "
+            f"> {100 * OBS_GATE[limit]:.0f}% RHS/s"
+            for variant, what, limit in (
+                ("untraced", "metrics-only serving", "max_untraced_cost"),
+                ("sampled", "sampled tracing", "max_sampled_cost"),
+                ("traced", "traced serving", "max_traced_cost"),
+            )
+            if gate_costs.get(variant, 1.0) > OBS_GATE[limit]
+        ],
+        f"{backend} tracing off {100 * gate_costs.get('untraced', 0.0):+.1f}%, sampled "
         f"{100 * gate_costs.get('sampled', 0.0):+.1f}%, tracing on "
-        f"{100 * gate_costs.get('traced', 0.0):+.1f}% RHS/s vs baseline"
+        f"{100 * gate_costs.get('traced', 0.0):+.1f}% RHS/s vs baseline",
     )
     return path
 
 
+# ---------------------------------------------------------------------- #
+# --farm                                                                 #
+# ---------------------------------------------------------------------- #
 #: The solver-farm acceptance gate, checked on the reference backend:
 #: with ``operators`` tenants sharing ``max_sessions`` warm-session slots
 #: under a skewed traffic mix (one hot tenant submitting ~half the fleet's
@@ -1140,31 +949,18 @@ def run_farm(
 ) -> pathlib.Path:
     """Multi-tenant solver-farm benchmark → BENCH_farm.json (with gate).
 
-    The workload is a skewed multi-tenant mix: ``operators`` operators
-    (same Laplace3D system, independently registered and warmed — the
-    serving cost structure, not the numerics, is under test), where tenant
-    0 is *hot* (``hot_requests`` submissions) and the rest are cold
-    (``cold_requests`` each).  Three measurements per backend:
-
-    * **farm** — every tenant drives its requests concurrently through one
-      :class:`repro.serve.SolverFarm` with ``max_sessions < operators``,
-      so the run includes LRU eviction and transparent re-warm;
-    * **naive** — the no-farm alternative: the same trace served
-      sequentially with a single warm :class:`OperatorSession` at a time,
-      rebuilt on every operator switch;
-    * **cold-only** — the cold tenants served concurrently through an
-      identical farm *without* the hot tenant: the per-tenant p95 latency
-      baseline that isolates exactly the hot neighbour's impact for the
-      noisy-neighbour check (cold-vs-cold contention is present in both
-      runs and cancels out of the ratio).
-
-    Farm and naive measurements are interleaved across ``repeats`` so
-    machine drift cancels out of the throughput ratio; each tenant's best
-    p95 across the contended repeats is compared against its cold-only
-    baseline.  Enforces :data:`FARM_GATE` on the reference backend.
+    ``operators`` copies of one Laplace3D system, registered and warmed
+    independently (the serving cost structure, not the numerics, is under
+    test); tenant 0 is *hot* (``hot_requests``), the rest are cold
+    (``cold_requests`` each).  Per backend, ``repeats`` **cold-only** farm
+    runs (no hot tenant) give each cold tenant's hot-free p95 baseline;
+    then the **farm** (every tenant through one :class:`SolverFarm` with
+    ``max_sessions < operators``) and the **naive** baseline (the same
+    trace served sequentially by one warm :class:`OperatorSession` at a
+    time, rebuilt on every operator switch) are interleaved over
+    ``repeats``.  The throughput ratio uses each one's best run; a cold
+    tenant's p95 is its minimum over the runs.
     """
-    import threading
-
     from repro.config import rng
     from repro.matrices import laplace3d
     from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
@@ -1172,7 +968,7 @@ def run_farm(
 
     label = f"Laplace3D{grid}"
     keys = [f"op{i}" for i in range(operators)]
-    hot = keys[0]
+    hot, cold = keys[0], keys[1:]
     counts = {k: (hot_requests if k == hot else cold_requests) for k in keys}
     total = sum(counts.values())
     # One matrix and one preconditioner instance *per operator*: tenants
@@ -1185,22 +981,15 @@ def run_farm(
     # Setup cost is paid outside any timed window, as a deployment pays
     # it at registration time.
     matrices = {k: laplace3d(grid) for k in keys}
-    matrix = matrices[keys[0]]
-    preconds = {
-        k: GmresPolynomialPreconditioner(matrices[k], degree=16) for k in keys
-    }
-    session_kwargs = dict(
-        restart=10,
-        tol=tol,
-        max_restarts=60,
-    )
+    preconds = {k: GmresPolynomialPreconditioner(matrices[k], degree=16) for k in keys}
+    session_kwargs = dict(restart=10, tol=tol, max_restarts=60)
     # Per-operator batching width, as a deployment would tune it: the hot
     # tenant coalesces to 8-wide blocks, the cold tenants' full burst is
     # exactly one 4-wide block (so a burst dispatches immediately instead
     # of waiting out the micro-batch window for stragglers).
     max_blocks = {k: (8 if k == hot else 4) for k in keys}
     B = {
-        k: rng(3000 + i).standard_normal((matrix.n_rows, counts[k]))
+        k: rng(3000 + i).standard_normal((matrices[hot].n_rows, counts[k]))
         for i, k in enumerate(keys)
     }
 
@@ -1214,11 +1003,11 @@ def run_farm(
             if remaining[hot]:
                 trace.append((hot, counts[hot] - remaining[hot]))
                 remaining[hot] -= 1
-        for k in keys[1:]:
+        for k in cold:
             if remaining[k]:
                 trace.append((k, counts[k] - remaining[k]))
                 remaining[k] -= 1
-    assert len(trace) == total
+    check(len(trace) == total, f"[farm] naive trace has {len(trace)} != {total} requests")
 
     entries: List[Dict[str, object]] = []
     summary_speedups: Dict[str, float] = {}
@@ -1227,9 +1016,8 @@ def run_farm(
 
     for backend in each_backend():
 
-        def run_naive() -> tuple:
-            """One warm session at a time, rebuilt on every operator switch."""
-            start = time.perf_counter()
+        def run_naive() -> int:
+            """Serve the trace with one warm session at a time; return the rebuilds."""
             current: Optional[str] = None
             session: Optional[OperatorSession] = None
             switches = 0
@@ -1247,11 +1035,11 @@ def run_farm(
                         )
                         current, switches = key, switches + 1
                     result = session.solve(B[key][:, idx])
-                    assert result.converged, f"naive {key}[{idx}] {result.status}"
+                    check(result.converged, f"naive {key}[{idx}] {result.status}")
             finally:
                 if session is not None:
                     session.close()
-            return time.perf_counter() - start, switches
+            return switches
 
         def run_fleet(selected: List[str]) -> tuple:
             """Drive ``selected`` tenants concurrently through one farm."""
@@ -1263,115 +1051,84 @@ def run_farm(
                 max_wait_ms=2.0,
                 name="bench",
             )
-            for k in selected:
-                farm.register(
-                    k,
-                    matrices[k],
-                    preconditioner=preconds[k],
-                    max_block=max_blocks[k],
-                    **session_kwargs,
-                )
-            errors: List[tuple] = []
+            try:
+                for k in selected:
+                    farm.register(
+                        k,
+                        matrices[k],
+                        preconditioner=preconds[k],
+                        max_block=max_blocks[k],
+                        **session_kwargs,
+                    )
 
-            def client(k: str) -> None:
-                try:
-                    futures = [
-                        farm.submit(k, B[k][:, j]) for j in range(counts[k])
-                    ]
+                def client(k: str) -> None:
+                    futures = [farm.submit(k, B[k][:, j]) for j in range(counts[k])]
                     for j, f in enumerate(futures):
                         result = f.result(timeout=600)
-                        assert result.converged, f"{k}[{j}] {result.status}"
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append((k, exc))
+                        check(result.converged, f"{k}[{j}] {result.status}")
 
-            threads = [
-                threading.Thread(target=client, args=(k,), name=f"tenant-{k}")
-                for k in selected
-            ]
-            start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall = time.perf_counter() - start
-            stats = farm.stats()
-            farm.close()
-            if errors:
-                raise SystemExit(f"[farm] {backend}: tenant errors: {errors[:3]}")
-            return wall, stats
+                wall = drive_clients(
+                    {f"tenant-{k}": partial(client, k) for k in selected},
+                    f"[farm] {backend}",
+                )
+                return wall, farm.stats()
+            finally:
+                farm.close()
 
-        # Hot-free baseline first (per-cold-tenant p95 without the noisy
-        # neighbour), then the contended farm and naive runs interleaved
-        # across repeats.
-        baseline_p95: Dict[str, float] = {}
-        for _ in range(max(1, repeats)):
-            _, cold_stats = run_fleet(keys[1:])
-            for k in keys[1:]:
-                p95 = cold_stats.tenants[k].serve.latency.p95_ms
-                baseline_p95[k] = min(baseline_p95.get(k, float("inf")), p95)
-        best_farm: Optional[tuple] = None
-        best_naive = float("inf")
-        naive_switches = 0
-        cold_best_p95: Dict[str, float] = {}
-        for _ in range(max(1, repeats)):
-            wall, stats = run_fleet(keys)
-            if best_farm is None or wall < best_farm[0]:
-                best_farm = (wall, stats)
-            for k in keys[1:]:
-                p95 = stats.tenants[k].serve.latency.p95_ms
-                cold_best_p95[k] = min(cold_best_p95.get(k, float("inf")), p95)
-            naive_wall, naive_switches = run_naive()
-            best_naive = min(best_naive, naive_wall)
+        # Hot-free baseline first, then the contended farm and naive runs
+        # interleaved across repeats.
+        cold_runs = repeat_runs({"cold-only": partial(run_fleet, cold)}, repeats)
+        runs = repeat_runs(
+            {"farm": partial(run_fleet, keys), "naive": partial(timed, run_naive)}, repeats
+        )
 
-        farm_wall, farm_stats = best_farm
+        def best_p95(fleet_runs: List[tuple]) -> Dict[str, float]:
+            return {
+                k: min(stats.tenants[k].serve.latency.p95_ms for _, stats in fleet_runs)
+                for k in cold
+            }
+
+        baseline_p95 = best_p95(cold_runs["cold-only"])
+        cold_best_p95 = best_p95(runs["farm"])
+        farm_wall, farm_stats = best_run(runs["farm"])
+        best_naive = best_run(runs["naive"])[0]
+        naive_switches = runs["naive"][-1][1]
+
         # Fault-tolerance quiescence gate: a healthy benchmark load must
         # not leak requests (submitted == completed + failed) nor trigger
         # any of the failure machinery — deadlines, cancellations and
         # breaker trips all belong to chaos runs, not this one.
         fleet = farm_stats.fleet
-        if fleet.requests_submitted != (
-            fleet.requests_completed + fleet.requests_failed
-        ):
-            raise SystemExit(
-                f"[farm] {backend}: telemetry does not reconcile: "
-                f"{fleet.requests_submitted} submitted != "
-                f"{fleet.requests_completed} completed + "
-                f"{fleet.requests_failed} failed"
-            )
-        if (
-            fleet.requests_timed_out
-            or fleet.requests_cancelled
-            or farm_stats.breaker_trips
-        ):
-            raise SystemExit(
-                f"[farm] {backend}: spurious failure-path activity under "
-                f"healthy load: timed_out={fleet.requests_timed_out} "
-                f"cancelled={fleet.requests_cancelled} "
-                f"breaker_trips={farm_stats.breaker_trips}"
-            )
+        check(
+            fleet.requests_submitted == fleet.requests_completed + fleet.requests_failed,
+            f"[farm] {backend}: telemetry does not reconcile: "
+            f"{fleet.requests_submitted} submitted != {fleet.requests_completed} "
+            f"completed + {fleet.requests_failed} failed",
+        )
+        check(
+            not (fleet.requests_timed_out or fleet.requests_cancelled
+                 or farm_stats.breaker_trips),
+            f"[farm] {backend}: spurious failure-path activity under healthy load: "
+            f"timed_out={fleet.requests_timed_out} "
+            f"cancelled={fleet.requests_cancelled} "
+            f"breaker_trips={farm_stats.breaker_trips}",
+        )
         farm_rps = total / farm_wall
         naive_rps = total / best_naive
         speedup = farm_rps / naive_rps
         worst_ratio = max(
             (cold_best_p95[k] / baseline_p95[k] if baseline_p95[k] > 0 else 0.0)
-            for k in keys[1:]
+            for k in cold
         )
         summary_speedups[backend] = speedup
         summary_p95[backend] = worst_ratio
         summary_evictions[backend] = farm_stats.evictions
 
-        common = {
-            "benchmark": "farm",
-            "backend": backend,
-            "matrix": label,
-            "config": "poly16",
-            "dtype": "double",
-            "operators": operators,
-            "max_sessions": max_sessions,
-            "workers": workers,
-            "requests": total,
-            "tolerance": tol,
-        }
+        common = dict(
+            benchmark="farm", backend=backend, matrix=label, config="poly16", dtype="double",
+            operators=operators, max_sessions=max_sessions, workers=workers, requests=total,
+            tolerance=tol,
+        )
         entries.append(
             dict(
                 common,
@@ -1391,8 +1148,8 @@ def run_farm(
                 evictions=farm_stats.evictions,
                 sessions_created=farm_stats.sessions_created,
                 sessions_live=farm_stats.sessions_live,
-                latency_p50_ms=farm_stats.fleet.latency.p50_ms,
-                latency_p95_ms=farm_stats.fleet.latency.p95_ms,
+                latency_p50_ms=fleet.latency.p50_ms,
+                latency_p95_ms=fleet.latency.p95_ms,
                 worst_cold_p95_degradation=worst_ratio,
                 requests_timed_out=fleet.requests_timed_out,
                 requests_cancelled=fleet.requests_cancelled,
@@ -1425,101 +1182,67 @@ def run_farm(
             flush=True,
         )
 
-    summary: Dict[str, object] = {
-        "grid": grid,
-        "operators": operators,
-        "max_sessions": max_sessions,
-        "workers": workers,
-        "hot_requests": hot_requests,
-        "cold_requests": cold_requests,
-        "tolerance": tol,
-        "repeats": repeats,
-        "gate": dict(FARM_GATE),
-        "fleet_speedup_farm_over_naive": summary_speedups,
-        "worst_cold_p95_degradation": summary_p95,
-        "evictions": summary_evictions,
-    }
+    summary = dict(
+        grid=grid, operators=operators, max_sessions=max_sessions, workers=workers,
+        hot_requests=hot_requests, cold_requests=cold_requests, tolerance=tol,
+        repeats=repeats, gate=dict(FARM_GATE), fleet_speedup_farm_over_naive=summary_speedups,
+        worst_cold_p95_degradation=summary_p95, evictions=summary_evictions,
+    )
     path = write_bench_json("farm", entries, summary=summary, out=out)
-    print(f"[farm] wrote {path}")
-
-    gate_backend = FARM_GATE["backend"]
-    failures = []
-    if summary_speedups.get(gate_backend, 0.0) < FARM_GATE["min_fleet_speedup"]:
-        failures.append(
-            f"fleet speedup {summary_speedups.get(gate_backend, 0.0):.2f}x "
-            f"< {FARM_GATE['min_fleet_speedup']}x vs naive"
-        )
-    if summary_p95.get(gate_backend, float("inf")) > FARM_GATE["max_cold_p95_degradation"]:
-        failures.append(
-            f"cold-tenant p95 degraded {summary_p95.get(gate_backend, 0.0):.2f}x "
-            f"> {FARM_GATE['max_cold_p95_degradation']}x by the hot neighbour"
-        )
-    if summary_evictions.get(gate_backend, 0) < FARM_GATE["min_evictions"]:
-        failures.append("no session evictions observed (LRU churn not exercised)")
-    if failures:
-        for failure in failures:
-            print(f"[farm] FAIL gate ({gate_backend}): {failure}", file=sys.stderr)
-        raise SystemExit(1)
-    print(
-        f"[farm] gate holds on {gate_backend}: "
-        f"{summary_speedups[gate_backend]:.2f}x fleet RHS/s, cold p95 "
-        f"{summary_p95[gate_backend]:.2f}x solo, "
-        f"{summary_evictions[gate_backend]} evictions"
+    backend = FARM_GATE["backend"]
+    speedup = summary_speedups.get(backend, 0.0)
+    worst_ratio = summary_p95.get(backend, math.inf)
+    evictions = summary_evictions.get(backend, 0)
+    gate(
+        "farm",
+        [failure for failed, failure in (
+            (speedup < FARM_GATE["min_fleet_speedup"],
+             f"{backend} fleet speedup {speedup:.2f}x "
+             f"< {FARM_GATE['min_fleet_speedup']}x vs naive"),
+            (worst_ratio > FARM_GATE["max_cold_p95_degradation"],
+             f"{backend} cold-tenant p95 degraded {worst_ratio:.2f}x "
+             f"> {FARM_GATE['max_cold_p95_degradation']}x by the hot neighbour"),
+            (evictions < FARM_GATE["min_evictions"],
+             f"{backend}: no session evictions observed (LRU churn not exercised)"),
+        ) if failed],
+        f"{backend} {speedup:.2f}x fleet RHS/s, cold p95 {worst_ratio:.2f}x solo, "
+        f"{evictions} evictions",
     )
     return path
 
 
+# ---------------------------------------------------------------------- #
+# CLI                                                                    #
+# ---------------------------------------------------------------------- #
+#: CLI flag -> (runner taking the parsed arguments, help text), in run
+#: order.  The module docstring describes each mode in full.
+MODES: Dict[str, Tuple[Callable[[argparse.Namespace], pathlib.Path], str]] = {
+    "smoke": (lambda a: run_smoke(out=a.out), "scaled fig1/fig5 smoke run (BENCH_smoke.json)"),
+    "backends": (lambda a: run_backend_comparison(a.grid, out=a.out),
+                 "kernel-backend SpMV/SpMM comparison (BENCH_backends.json)"),
+    "solve": (lambda a: run_solve(out=a.out), "end-to-end GMRES(50) solves (BENCH_solve.json)"),
+    "solve-block": (lambda a: run_solve_block(out=a.out),
+                    "Block-GMRES vs sequential, >=2x per-RHS gate (BENCH_block.json)"),
+    "serve": (lambda a: run_serve(out=a.out, clients=a.clients),
+              "batched vs unbatched serving, >=2x RHS/s gate (BENCH_serve.json)"),
+    "farm": (lambda a: run_farm(out=a.out),
+             "solver farm vs naive, fleet RHS/s + fairness + eviction gate (BENCH_farm.json)"),
+    "obs": (lambda a: run_obs(out=a.out, clients=a.clients),
+            "observability overhead, <2%%/<2%%/<10%% RHS/s gates (BENCH_obs.json and "
+            "TRACE_obs.json beside it)"),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="repro benchmark harness CLI")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the scaled-down fig1/fig5 smoke benchmark (BENCH_smoke.json)",
+    parser = argparse.ArgumentParser(
+        description="repro benchmark harness CLI (each mode is described in the "
+        "module docstring of benchmarks/_harness.py)"
     )
+    for flag, (_, help_text) in MODES.items():
+        parser.add_argument(f"--{flag}", action="store_true", help=help_text)
+    parser.add_argument("--grid", type=int, default=64, help="Laplace3D grid for --backends")
     parser.add_argument(
-        "--backends",
-        action="store_true",
-        help="run the kernel-backend comparison (BENCH_backends.json)",
-    )
-    parser.add_argument(
-        "--solve",
-        action="store_true",
-        help="run the end-to-end GMRES(50) solve benchmark (BENCH_solve.json)",
-    )
-    parser.add_argument(
-        "--solve-block",
-        action="store_true",
-        help="run the batched multi-RHS solve benchmark with its >=2x "
-        "per-RHS gate (BENCH_block.json)",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="run the solver-service throughput benchmark with its >=2x "
-        "batched-vs-unbatched RHS/s gate (BENCH_serve.json)",
-    )
-    parser.add_argument(
-        "--farm",
-        action="store_true",
-        help="run the multi-tenant solver-farm benchmark with its >=1.5x "
-        "fleet-RHS/s + noisy-neighbour + eviction gate (BENCH_farm.json)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run the observability overhead benchmark (tracing off / "
-        "sampled / fully on vs no-obs baseline, <2%%/<2%%/<10%% RHS/s "
-        "gates) and emit BENCH_obs.json plus the Chrome trace artifact "
-        "TRACE_obs.json",
-    )
-    parser.add_argument(
-        "--grid", type=int, default=64, help="Laplace3D grid for --backends"
-    )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="concurrent client threads for --serve",
+        "--clients", type=int, default=8, help="concurrent client threads for --serve and --obs"
     )
     parser.add_argument(
         "--out",
@@ -1528,36 +1251,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="override the output path (only valid with exactly one mode)",
     )
     args = parser.parse_args(argv)
-    modes = [
-        args.smoke,
-        args.backends,
-        args.solve,
-        args.solve_block,
-        args.serve,
-        args.farm,
-        args.obs,
-    ]
-    if not any(modes):
-        parser.error(
-            "choose at least one of --smoke / --backends / --solve / "
-            "--solve-block / --serve / --farm / --obs"
-        )
-    if args.out is not None and sum(modes) > 1:
+    selected = [flag for flag in MODES if getattr(args, flag.replace("-", "_"))]
+    if not selected:
+        parser.error("choose at least one of " + " / ".join(f"--{flag}" for flag in MODES))
+    if args.out is not None and len(selected) > 1:
         parser.error("--out is ambiguous with more than one mode")
-    if args.smoke:
-        run_smoke(out=args.out)
-    if args.backends:
-        run_backend_comparison(args.grid, out=args.out)
-    if args.solve:
-        run_solve(out=args.out)
-    if args.solve_block:
-        run_solve_block(out=args.out)
-    if args.serve:
-        run_serve(out=args.out, clients=args.clients)
-    if args.farm:
-        run_farm(out=args.out)
-    if args.obs:
-        run_obs(out=args.out, clients=args.clients)
+    for flag in selected:
+        MODES[flag][0](args)
     return 0
 
 

@@ -16,8 +16,11 @@ asks of a trace first:
 ``--check`` validates the span ledger instead of rendering: unique span
 ids, resolvable parents, children nested inside their parents, a
 terminal outcome on every request root, resolvable instant-event
-references.  CI runs it against the committed ``TRACE_obs.json`` so a
-malformed or unbalanced trace export fails the build.
+references.  CI runs it against both the committed ``TRACE_obs.json``
+and the ``TRACE_obs_fresh.json`` of its own benchmark run, so a
+malformed or unbalanced trace export fails the build.  (The benchmark
+harness writes the trace beside its ``--out`` JSON: ``--out
+BENCH_obs_fresh.json`` gives ``TRACE_obs_fresh.json``.)
 
 Usage::
 
