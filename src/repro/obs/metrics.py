@@ -495,7 +495,7 @@ def watch_session(session, *, registry: Optional[MetricsRegistry] = None) -> Non
     Holds only a weak reference.  The collector retires — and drops the
     session's series from exposition, so a scrape never shows frozen
     last-known values — once the session is garbage-collected, closed,
-    or released by the registry (its scheduler closed).
+    or released by the registry (``session.retired``).
     """
     registry = registry or _DEFAULT_REGISTRY
     ref = weakref.ref(session)
@@ -506,7 +506,7 @@ def watch_session(session, *, registry: Optional[MetricsRegistry] = None) -> Non
 
     def collect(reg: MetricsRegistry):
         live = ref()
-        if live is None or live.closed or live.scheduler.closed:
+        if live is None or live.retired:
             reg.remove_matching(stale)
             return False
         _publish_serve_stats(reg, live.stats(), scope="session", name=live.name)

@@ -3,10 +3,9 @@
 A :class:`SloPolicy` declares the objectives — availability over the
 served/failed ledger, optional latency quantile bounds — and the two
 evaluation windows.  A :class:`SloTracker` is a telemetry *sink*: it
-implements the recording half of
-:class:`repro.serve.telemetry.ServeTelemetry`, so the serve layer feeds
-it through the existing :class:`~repro.serve.telemetry.TelemetryFanout`
-plumbing with zero new hook points.  The :class:`SloEngine` owns one
+implements the sink protocol of :class:`repro.serve.telemetry.ServeTelemetry`,
+so every served request's terminal event reaches it alongside the
+counters.  The :class:`SloEngine` owns one
 tracker per scope (``"farm"``, ``"farm/tenant"``, a session name, …) and
 evaluates the policy over both windows on demand.
 
@@ -163,15 +162,17 @@ class SloStatus:
         }
 
 
+#: Terminal outcomes that spend error budget (``timed_out`` is mid-solve).
+BAD_OUTCOMES = frozenset({"rejected", "deadline_exceeded", "abandoned", "error", "timed_out"})
+
+
 class SloTracker:
     """Per-scope sliding ledger of (timestamp, latency, goodness) events.
 
-    Duck-types the recording half of
-    :class:`repro.serve.telemetry.ServeTelemetry`, so a
-    :class:`~repro.serve.telemetry.TelemetryFanout` can feed it alongside
-    the real counters.  Client cancellations are recorded as *neutral*
-    (latency kept for the quantiles, excluded from availability): the
-    client changed its mind, the service did nothing wrong.
+    A telemetry sink (see :mod:`repro.serve.telemetry`).  Each terminal
+    event counts by its outcome: :data:`BAD_OUTCOMES` are bad, client
+    cancellations (queued or mid-solve) *neutral* — latency kept, excluded
+    from availability — and every other completion, converged or not, good.
     """
 
     __slots__ = ("_lock", "_clock", "_events")
@@ -189,52 +190,25 @@ class SloTracker:
             maxlen=max(64, int(capacity))
         )
 
-    # -- recording interface (ServeTelemetry duck type) ----------------- #
+    # -- recording (the telemetry sink protocol) --------------------- #
     def record_submitted(self) -> None:
         """Admission is not an outcome; nothing to ledger yet."""
 
-    def record_rejected(self) -> None:
-        self._record(None, good=False)
-
-    def record_timeout(self) -> None:
-        self._record(None, good=False)
-
-    def record_cancelled(self) -> None:
-        self._record(None, good=None)
-
-    def record_abandoned(self) -> None:
-        self._record(None, good=False)
-
-    def record_batch(
+    def record_end(
         self,
-        queue_waits: List[float],
-        solve_seconds: "float | List[float]",
+        outcome: str,
         *,
-        block_iterations: int = 0,
-        failed: int = 0,
-        retried: int = 0,
-        timed_out: int = 0,
-        cancelled: int = 0,
+        result=None,
+        exc: Optional[BaseException] = None,
+        queue_wait: Optional[float] = None,
+        solve_seconds: Optional[float] = None,
     ) -> None:
-        del block_iterations, retried  # throughput detail, not an SLO input
-        occupancy = len(queue_waits)
-        if isinstance(solve_seconds, (int, float)):
-            solve_seconds = [float(solve_seconds)] * occupancy
-        bad = failed + timed_out
-        now = self._clock()
+        """Ledger one request's terminal event; dispatched requests
+        (``queue_wait`` given) carry their latency."""
+        latency = None if queue_wait is None else queue_wait + solve_seconds
+        good = None if outcome == "cancelled" else outcome not in BAD_OUTCOMES
         with self._lock:
-            for i, (wait, solve) in enumerate(zip(queue_waits, solve_seconds)):
-                if i < bad:
-                    good: Optional[bool] = False
-                elif i >= occupancy - cancelled:
-                    good = None
-                else:
-                    good = True
-                self._events.append((now, wait + solve, good))
-
-    def _record(self, latency_s: Optional[float], *, good: Optional[bool]) -> None:
-        with self._lock:
-            self._events.append((self._clock(), latency_s, good))
+            self._events.append((self._clock(), latency, good))
 
     # -- evaluation ------------------------------------------------------ #
     def events_since(

@@ -14,14 +14,15 @@ Pieces
     Registers a matrix + solver configuration once and owns the expensive
     amortizable state: pinned backend context, cached backend plans,
     preconditioner setup, a per-width pool of allocation-free Krylov
-    workspaces, and the scheduler.
-:class:`SolveScheduler`
-    Thread-safe micro-batching queue: ``session.submit(b)`` returns a
-    ``Future``; waiting requests are coalesced up to ``max_block`` wide or
-    ``max_wait_ms`` old (whichever first), dispatched as **one** batched
-    solve, and the per-column results are demultiplexed back to the
-    futures — including per-column failure statuses, so one diverging
-    right-hand side cannot fail its batchmates.
+    workspaces, and the micro-batching queue: ``session.submit(b)``
+    returns a ``Future``; waiting requests are coalesced up to
+    ``max_block`` wide or ``max_wait_ms`` old (whichever first),
+    dispatched as **one** batched solve, and the per-column results are
+    demultiplexed back to the futures — including per-column failure
+    statuses, so one diverging right-hand side cannot fail its
+    batchmates.  The dispatch core, shared with the farm, lives in
+    :mod:`repro.serve.scheduler`; its ``end`` is every request's one
+    terminal event, recorded before the future resolves.
 :class:`BatchingPolicy`
     Decides sequential-vs-block and the dispatch width per operator from
     the analytic kernel cost model (SpMM vs ``k`` SpMVs, GEMM vs ``k``
@@ -81,7 +82,7 @@ from .errors import (
 from .farm import FAIRNESS_MODES, SolverFarm
 from .policy import BatchingPolicy, POLICY_MODES
 from .registry import SessionRegistry
-from .scheduler import PendingRequest, ServeFuture, ServeResult, SolveScheduler
+from .scheduler import PendingRequest, ServeFuture, ServeResult
 from .session import OperatorSession
 from .telemetry import (
     FarmStats,
@@ -94,13 +95,12 @@ from .telemetry import (
 
 #: The curated public surface of the serve layer: the two service fronts
 #: (session and farm), their building blocks, and the telemetry types a
-#: client reads.  Internal plumbing (TelemetryFanout, run_batch, the
-#: worker machinery) is importable from the submodules but not part of
+#: client reads.  Internal plumbing (run_batch, end, the request queue,
+#: the worker machinery) is importable from the submodules but not part of
 #: the supported API.
 __all__ = [
     # single-operator service
     "OperatorSession",
-    "SolveScheduler",
     "ServeResult",
     "ServeFuture",
     "PendingRequest",

@@ -32,13 +32,13 @@ multi-tenant form of the same service:
   round-robin, so a hot tenant cannot starve the others beyond its
   weight); under ``"fifo"`` the tenant holding the globally oldest
   request — marks it busy (one worker per tenant at a time: batches must
-  not be split across workers), and runs the dispatch core the
-  single-session scheduler runs: the tenant's
+  not be split across workers), and runs the dispatch core a single
+  session's dispatcher runs: the tenant's
   :class:`~repro.serve.scheduler.RequestQueue` assembles the batch and
   :func:`~repro.serve.scheduler.run_batch` solves it;
-* **two-level telemetry** — every event is recorded in the tenant's own
+* **two-level telemetry** — every request ends on the tenant's own
   :class:`~repro.serve.telemetry.ServeTelemetry` *and* the fleet-wide one
-  via a :class:`~repro.serve.telemetry.TelemetryFanout`;
+  (the sink tuple of :meth:`~repro.serve.telemetry.FarmTelemetry.sink`);
   :meth:`SolverFarm.stats` snapshots the whole farm (per-tenant RHS/s,
   queue depths, fairness shares, evictions) as a
   :class:`~repro.serve.telemetry.FarmStats`.
@@ -70,21 +70,20 @@ from ..config import get_config
 from ..obs import resolve_observability
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import watch_farm
-from ..obs.trace import RequestTrace
 from ..sparse.csr import CsrMatrix
 from .breaker import BREAKER_STATES, CircuitBreaker
 from .errors import CircuitOpenError, RejectedError
 from .registry import SessionRegistry
 from .scheduler import (
     BatchReport,
-    PendingRequest,
+    Refusal,
     RequestQueue,
     ServeResult,
-    claim_or_end,
-    expire_requests,
+    claimed,
+    end,
     run_batch,
 )
-from .session import OperatorSession, validate_rhs
+from .session import OperatorSession
 from .telemetry import FarmStats, FarmTelemetry
 
 __all__ = ["RejectedError", "CircuitOpenError", "SolverFarm", "FAIRNESS_MODES"]
@@ -144,7 +143,7 @@ class SolverFarm:
         workers batch, validate, warm sessions and demux results.
     max_wait_ms:
         Per-tenant micro-batching window, exactly as in
-        :class:`~repro.serve.scheduler.SolveScheduler`.
+        :class:`~repro.serve.session.OperatorSession`.
     breaker_threshold / breaker_cooldown_ms:
         Per-operator circuit breaker: ``breaker_threshold`` consecutive
         hard failures (solver exceptions, breakdowns, non-finite results)
@@ -199,8 +198,8 @@ class SolverFarm:
         #: get their span trees from here, not from the sessions.
         self.tracer = self.obs.tracer
         #: Optional HealthMonitor (explicit via obs=): its SLO trackers
-        #: ride the telemetry fanout and the farm registers itself for
-        #: breaker/queue health.
+        #: are among every tenant's telemetry sinks and the farm
+        #: registers itself for breaker/queue health.
         self.health = self.obs.health
         self.telemetry = FarmTelemetry(
             slo=None if self.health is None else self.health.slo,
@@ -295,7 +294,7 @@ class SolverFarm:
                         threshold=self.breaker_threshold,
                         cooldown_ms=self.breaker_cooldown_ms,
                     ),
-                    RequestQueue(self._wakeup, lambda: self._closed),
+                    RequestQueue(self._wakeup, lambda: self._closed, "farm"),
                 )
             else:
                 tenant.n_rows = rows
@@ -316,11 +315,11 @@ class SolverFarm:
 
         Returns a ``Future[ServeResult]``.  Validation failures resolve
         the future with ``ValueError`` (mirroring
-        :meth:`SolveScheduler.submit`); a full tenant queue raises
-        :class:`RejectedError` and a quarantined operator
-        :class:`~repro.serve.errors.CircuitOpenError`, both
-        *synchronously* — backpressure must reach the caller before the
-        work is accepted, not inside the future.
+        :meth:`OperatorSession.submit`, whose admission path this shares);
+        a full tenant queue raises :class:`RejectedError` and a
+        quarantined operator :class:`~repro.serve.errors.CircuitOpenError`,
+        both *synchronously* — backpressure must reach the caller before
+        the work is accepted, not inside the future.
 
         ``deadline_ms`` bounds the request end to end: expiry while
         queued fails the future fast with
@@ -334,78 +333,37 @@ class SolverFarm:
             tenant = self._tenants.get(key)
         if tenant is None:
             raise KeyError(f"no operator registered under key {key!r}")
-        sink = self.telemetry.sink(key)
-        try:
-            column = validate_rhs(b, tenant.n_rows)
-        except ValueError as exc:
-            failed: "Future[ServeResult]" = Future()
-            failed.set_exception(exc)
-            sink.record_rejected()
-            if self.tracer is not None:
-                RequestTrace.rejected(
-                    self.tracer,
-                    "rejected",
-                    farm=self.name,
-                    tenant=key,
-                    error=repr(exc),
-                )
-            return failed
-        request = PendingRequest(column, deadline_ms=deadline_ms)
-        if self.tracer is not None:
-            request.trace = RequestTrace(
-                self.tracer, farm=self.name, tenant=key, deadline_ms=deadline_ms
-            )
-        if request.expired:
-            # Dead on arrival (non-positive budget): fail fast through
-            # the future without ever touching the queue.
-            sink.record_submitted()
-            expire_requests([request], sink)
-            return request.future
-        retry_hint: Optional[float] = None
-        breaker_hint: Optional[float] = None
-        if request.trace is not None:
-            # Admission decided before the queue append: once appended a
-            # worker may advance the trace concurrently.  A rejection below
-            # finishes the already-advanced trace, which is still a single
-            # complete tree.
-            request.trace.submitted()
-        with self._wakeup:
-            if self._closed:
-                if request.trace is not None:
-                    # Not telemetry-counted (the submit raises), so the
-                    # outcome is distinct from the counted rejections.
-                    request.trace.finish("closed")
-                raise RuntimeError("farm is closed; no new requests accepted")
-            if len(tenant.queue) >= self.queue_depth:
-                retry_hint = self._retry_after_ms_locked(tenant)
-                self._wakeup.notify_all()
-            else:
-                breaker_hint = tenant.breaker.admit()
-                if breaker_hint is None:
-                    tenant.queue.append(request)
-                    self._ensure_workers_locked()
-                    self._wakeup.notify_all()
-        if retry_hint is not None:
-            self.telemetry.record_rejected(key)
-            if request.trace is not None:
-                request.trace.finish("rejected", reason="queue_full")
-            raise RejectedError(
+        return tenant.queue.admit(
+            b, tenant.n_rows, self.telemetry.sink(key), self.tracer,
+            deadline_ms=deadline_ms, check_locked=lambda: self._check_locked(tenant),
+            farm=self.name, tenant=key,
+        )
+
+    def _check_locked(self, tenant: _Tenant) -> Optional[Refusal]:
+        """:meth:`submit`'s admission check (lock held): admits, starting
+        the workers, unless the queue is full or the breaker open."""
+        key = tenant.key
+        if len(tenant.queue) >= self.queue_depth:
+            hint = self._retry_after_ms_locked(tenant)
+            self._wakeup.notify_all()
+            refusal: Refusal = (RejectedError(
                 f"tenant {key!r} queue is full ({self.queue_depth} pending); "
-                f"retry in ~{retry_hint:.0f} ms",
-                retry_after_ms=retry_hint,
-            )
-        if breaker_hint is not None:
-            self.telemetry.record_rejected(key)
-            if request.trace is not None:
-                request.trace.finish("rejected", reason="circuit_open")
-            raise CircuitOpenError(
+                f"retry in ~{hint:.0f} ms",
+                retry_after_ms=hint,
+            ), "queue_full")
+        else:
+            hint = tenant.breaker.admit()
+            if hint is None:
+                self._ensure_workers_locked()
+                return None
+            refusal = (CircuitOpenError(
                 f"operator {key!r} is quarantined after consecutive solve "
-                f"failures; retry in ~{breaker_hint:.0f} ms",
+                f"failures; retry in ~{hint:.0f} ms",
                 key=key,
-                retry_after_ms=breaker_hint,
-            )
-        sink.record_submitted()
-        return request.future
+                retry_after_ms=hint,
+            ), "circuit_open")
+        self.telemetry.record_backpressure(key)
+        return refusal
 
     async def asubmit(
         self, key: str, b: np.ndarray, *, deadline_ms: Optional[float] = None
@@ -427,7 +385,7 @@ class SolverFarm:
 
     def _retry_after_ms_locked(self, tenant: _Tenant) -> float:
         """Drain-time estimate for one queue-depth of backlog (a hint)."""
-        stats = self.telemetry.tenant(tenant.key).snapshot()
+        stats = self.telemetry.sink(tenant.key)[0].snapshot()
         per_batch_ms = stats.solve.mean_ms
         if per_batch_ms <= 0.0:
             per_batch_ms = max(self.max_wait_seconds * 1e3, 1.0)
@@ -542,7 +500,7 @@ class SolverFarm:
         The batch outcome feeds the tenant's circuit breaker; a trip
         quarantines the operator (evicts its warmed session).
         """
-        sink = self.telemetry.sink(tenant.key)
+        sinks = self.telemetry.sink(tenant.key)
         try:
             session = self.registry.get_or_create(tenant.key)
         except Exception as exc:  # noqa: BLE001 - forwarded to the futures
@@ -563,20 +521,21 @@ class SolverFarm:
                 error=repr(exc),
             )
             for request in doomed:
-                claim_or_end(request, sink, "error", exc, error=repr(exc))
+                if claimed(request, sinks):
+                    end(request, sinks, "error", exc=exc, error=repr(exc))
             self._feed_breaker(
                 tenant, BatchReport(width=len(doomed), exception=exc)
             )
             return
         batch = tenant.queue.collect(
-            sink, session.max_block, session.policy, self.max_wait_seconds
+            sinks, session.max_block, session.policy, self.max_wait_seconds
         )
         if not batch:
             return
         report = run_batch(
             session,
             batch,
-            sink,
+            sinks,
             tracer=self.tracer,
             tenant=tenant.key,
             health=self.health,
@@ -630,20 +589,14 @@ class SolverFarm:
             if self._closed and not self._threads:
                 return
             self._closed = True
-            abandoned: List[tuple] = []
-            if not drain:
-                for tenant in self._tenants.values():
-                    abandoned.extend((tenant.key, r) for r in tenant.queue.take_all())
+            abandoned = [] if drain else [
+                (tenant, tenant.queue.take_all()) for tenant in self._tenants.values()
+            ]
             threads = list(self._threads)
             self._threads.clear()
             self._wakeup.notify_all()
-        for key, request in abandoned:
-            claim_or_end(
-                request,
-                self.telemetry.sink(key),
-                "abandoned",
-                RuntimeError("farm closed before the request was served"),
-            )
+        for tenant, requests in abandoned:
+            tenant.queue.abandon(requests, self.telemetry.sink(tenant.key))
         for thread in threads:
             if threading.current_thread() is not thread:
                 thread.join(timeout=timeout)

@@ -31,13 +31,13 @@ solver even though every column alone is easy, so the sequential retry
 turns a batching artefact into at most one extra solve.  Only an
 unexpected solver exception fails the batch it was part of.
 
-The module is also the dispatch core of the whole serve layer.  Each
-:class:`SolveScheduler` and each tenant of a
-:class:`~repro.serve.farm.SolverFarm` queues into a :class:`RequestQueue`,
-whose :meth:`~RequestQueue.collect` is the one batch assembler (steps 1
-and 2 above, plus deadline expiry and cancel-on-pop); :func:`run_batch`
-runs and demultiplexes the batch; and :func:`claim_or_end` is the one
-terminal path of every request that ends without a solve.
+The module is the dispatch core of the serve layer.  Each session and
+each farm tenant queues into a :class:`RequestQueue`, whose
+:meth:`~RequestQueue.admit` is the one admission path and
+:meth:`~RequestQueue.collect` the one batch assembler (steps 1 and 2,
+plus deadline expiry and cancel-on-pop); :func:`run_batch` runs and
+demultiplexes the batch; and every request, served or not, ends through
+:func:`end`, which records it before resolving its future.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from ..obs.trace import RequestTrace
 from ..solvers.result import ConvergenceHistory, SolveResult, SolverStatus
 from ..solvers.status import SolveControl
 from .errors import DeadlineExceededError
-from .telemetry import ServeStats, ServeTelemetry
+from .telemetry import ServeTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .session import OperatorSession
@@ -68,14 +68,14 @@ __all__ = [
     "ServeFuture",
     "RequestQueue",
     "ServeResult",
-    "SolveScheduler",
     "run_batch",
-    "claim_or_end",
+    "end",
+    "claimed",
     "complete_future",
     "fail_future",
     "sweep_expired",
-    "expire_requests",
     "deadline_slack_seconds",
+    "validate_rhs",
 ]
 
 
@@ -112,6 +112,12 @@ class ServeResult:
     def residual_history(self) -> ConvergenceHistory:
         """:class:`~repro.solvers.result.ResultLike` name for ``history``."""
         return self.history
+
+    @property
+    def retried(self) -> bool:
+        """Re-solved alone after its batch did not converge (module doc)."""
+        details = self.solve_result.details
+        return "retry_error" in self.details or bool(details.get("retried_sequential"))
 
     @property
     def latency_seconds(self) -> float:
@@ -161,13 +167,17 @@ class PendingRequest:
     """One queued right-hand side: the validated column, its future, its
     cooperative control token (deadline + cancellation), the enqueue
     timestamp, and — when tracing is on — the request's span state
-    machine (shared by :class:`SolveScheduler` queues and the farm's
-    per-tenant queues)."""
+    machine.  :func:`run_batch` stamps ``queue_wait`` and
+    ``solve_seconds`` on dispatch; they stay ``None`` for a request that
+    ends without a solve."""
 
-    __slots__ = ("b", "future", "control", "deadline_ms", "enqueued_at", "trace")
+    __slots__ = (
+        "b", "future", "control", "deadline_ms", "enqueued_at", "trace",
+        "queue_wait", "solve_seconds",
+    )
 
     def __init__(
-        self, b: np.ndarray, *, deadline_ms: Optional[float] = None
+        self, b: Optional[np.ndarray], *, deadline_ms: Optional[float] = None
     ) -> None:
         self.b = b
         self.deadline_ms = None if deadline_ms is None else float(deadline_ms)
@@ -179,6 +189,8 @@ class PendingRequest:
         self.enqueued_at = time.perf_counter()
         #: :class:`repro.obs.RequestTrace` when the owner traces, else None.
         self.trace = None
+        self.queue_wait: Optional[float] = None
+        self.solve_seconds: Optional[float] = None
 
     @property
     def expired(self) -> bool:
@@ -187,8 +199,8 @@ class PendingRequest:
 
 
 # --------------------------------------------------------------------- #
-# dispatch core shared by sessions and farms: future resolution, the    #
-# one terminal path of unserved requests, and batch assembly            #
+# dispatch core shared by sessions and farms: the one terminal event,   #
+# admission and batch assembly                                          #
 # --------------------------------------------------------------------- #
 def complete_future(future: Future, result: object) -> bool:
     """``set_result`` that tolerates a future already resolved elsewhere.
@@ -214,53 +226,80 @@ def fail_future(future: Future, exc: BaseException) -> bool:
         return False
 
 
-#: Trace outcome of a request that ends without a solve -> the telemetry
-#: counter recording it (a session warm-up failure ends as "error").
-_UNSERVED_COUNTERS = {
-    "cancelled": "record_cancelled",
-    "deadline_exceeded": "record_timeout",
-    "abandoned": "record_abandoned",
-    "error": "record_abandoned",
-}
-
-
-def claim_or_end(
+def end(
     request: PendingRequest,
-    telemetry,
-    outcome: Optional[str] = None,
+    sinks: Sequence,
+    outcome: str,
+    *,
+    result: Optional[ServeResult] = None,
     exc: Optional[BaseException] = None,
     **attrs: object,
-) -> bool:
-    """Claim ``request`` for dispatch, or end it without a solve.
+) -> None:
+    """The one terminal event of a served request.
 
-    The one terminal path of every request that never reaches a solver.
-    The future moves to RUNNING (``set_running_or_notify_cancel``); a
-    client that cancelled while queued ends here as ``"cancelled"``.
-    Otherwise, with no ``outcome`` the request stays claimed and ``True``
-    is returned (the caller dispatches it); with an ``outcome``
-    (``"deadline_exceeded"``, ``"abandoned"`` or ``"error"``) its future
-    fails with ``exc``.  Every ending bumps exactly one counter on
-    ``telemetry`` and finishes the request trace with the outcome
-    (``attrs`` annotate it), so ``submitted == completed + failed`` and
-    the span ledger balance by construction.
+    Records ``outcome`` on every telemetry sink, finishes the request
+    trace (``attrs`` annotate it), and only then resolves the future —
+    with ``exc`` when given, else ``result`` — so whoever the future
+    wakes finds the request already counted and its span tree closed.
+    ``sinks`` is empty only for a submit refused by a closed owner.
     """
-    if request.future.set_running_or_notify_cancel():
-        if outcome is None:
-            return True
-        fail_future(request.future, exc)
-    else:
-        outcome, attrs = "cancelled", {}
-    getattr(telemetry, _UNSERVED_COUNTERS[outcome])()
+    for sink in sinks:
+        sink.record_end(
+            outcome,
+            result=result,
+            exc=exc,
+            queue_wait=request.queue_wait,
+            solve_seconds=request.solve_seconds,
+        )
     if request.trace is not None:
         request.trace.finish(outcome, **attrs)
+    if exc is None:
+        complete_future(request.future, result)
+    else:
+        fail_future(request.future, exc)
+
+
+def claimed(request: PendingRequest, sinks: Sequence) -> bool:
+    """Move the future to RUNNING before the service dispatches or ends
+    it; a request cancelled while queued ends here as ``"cancelled"``."""
+    if request.future.set_running_or_notify_cancel():
+        return True
+    end(request, sinks, "cancelled")
     return False
+
+
+def validate_rhs(b: np.ndarray, n_rows: int) -> np.ndarray:
+    """Normalize one right-hand side to an owned length-``n_rows`` column.
+
+    The single validation path of the serve layer: shape-checks, rejects
+    non-finite entries (they would poison a shared Krylov basis — and a
+    direct NaN solve is equally meaningless), and copies so a caller
+    mutating its array afterwards cannot corrupt a queued batch.  Raises
+    :class:`ValueError` on invalid input.  Takes the operator's
+    dimension, so the farm can validate against a registered operator
+    without forcing its (possibly evicted) session to be rebuilt first.
+    """
+    column = np.asarray(b, dtype=np.float64)
+    if column.ndim == 2 and column.shape[1] == 1:
+        column = column[:, 0]
+    if column.ndim != 1 or column.shape[0] != n_rows:
+        raise ValueError(
+            f"right-hand side must be a length-{n_rows} vector, "
+            f"got shape {np.asarray(b).shape}"
+        )
+    if not np.all(np.isfinite(column)):
+        raise ValueError(
+            "right-hand side contains non-finite entries; rejecting it "
+            "before it can poison a shared Krylov basis"
+        )
+    return np.array(column, copy=True)
 
 
 def sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
     """Remove and return queued requests whose deadline already lapsed.
 
     The caller holds the queue's lock; the removed requests still need
-    :func:`expire_requests` (outside the lock) to resolve their futures.
+    ending (outside the lock) to resolve their futures.
     """
     expired: List[PendingRequest] = []
     if not queue:
@@ -274,16 +313,18 @@ def sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
     return expired
 
 
-def expire_requests(expired: List[PendingRequest], telemetry) -> None:
-    """Fail swept-out requests fast with :class:`DeadlineExceededError`."""
-    for request in expired:
+def _expire(requests: List[PendingRequest], sinks: Sequence) -> None:
+    """Fail requests whose deadline lapsed before dispatch."""
+    for request in requests:
+        if not claimed(request, sinks):
+            continue
         budget = request.deadline_ms
         shown = "?" if budget is None else format(budget, ".0f")
-        claim_or_end(
+        end(
             request,
-            telemetry,
+            sinks,
             "deadline_exceeded",
-            DeadlineExceededError(
+            exc=DeadlineExceededError(
                 f"request deadline of {shown} ms lapsed in the queue; "
                 "the request was never dispatched",
                 deadline_ms=budget,
@@ -307,21 +348,86 @@ def deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
     return slack
 
 
-class RequestQueue(deque):
-    """A deque of :class:`PendingRequest` that assembles its own batches.
+#: An owner's refusal of a submit: the error raised, the trace ``reason``.
+Refusal = Tuple[BaseException, str]
 
-    :class:`SolveScheduler` holds one; :class:`~repro.serve.farm.SolverFarm`
-    holds one per tenant.  The deque lives under its owner's condition
-    variable ``cond`` — hold it for any direct access — and ``closed``
-    reports whether the owner is shutting down.
+
+class RequestQueue(deque):
+    """A deque of :class:`PendingRequest` that admits and batches its own.
+
+    An :class:`~repro.serve.session.OperatorSession` holds one, a
+    :class:`~repro.serve.farm.SolverFarm` one per tenant.  It lives under
+    its owner's condition variable ``cond`` (hold it for direct access);
+    ``closed`` says whether the owner is shutting down, ``owner`` names
+    it in errors.
     """
 
     def __init__(
-        self, cond: threading.Condition, closed: Callable[[], bool]
+        self, cond: threading.Condition, closed: Callable[[], bool], owner: str
     ) -> None:
         super().__init__()
-        self._cond = cond
+        self.cond = cond
         self._closed = closed
+        self.owner = owner
+
+    def admit(
+        self,
+        b: np.ndarray,
+        n_rows: int,
+        sinks: Sequence,
+        tracer,
+        *,
+        deadline_ms: Optional[float] = None,
+        check_locked: Callable[[], Optional[Refusal]],
+        **trace_attrs: object,
+    ) -> ServeFuture:
+        """The one admission path of sessions and farms; returns the future.
+
+        Validates, builds the request and its trace (``trace_attrs`` label
+        the root span) and ends a dead-on-arrival request.  Then, in one
+        hold of ``cond``: the closed check (``RuntimeError``), the owner's
+        ``check_locked`` (``None`` admits, a :data:`Refusal` is raised),
+        ``record_submitted`` on every sink and the append — so a request
+        is counted before anyone can complete it.
+        """
+        try:
+            column, invalid = validate_rhs(b, n_rows), None
+        except ValueError as exc:
+            column, invalid = None, exc
+        request = PendingRequest(column, deadline_ms=deadline_ms)
+        if tracer is not None:
+            request.trace = RequestTrace(
+                tracer, deadline_ms=deadline_ms, **trace_attrs
+            )
+        if invalid is not None:
+            end(request, sinks, "rejected", exc=invalid, error=repr(invalid))
+            return request.future
+        if request.expired:
+            # Dead on arrival: fail fast through the future, unqueued.
+            for sink in sinks:
+                sink.record_submitted()
+            _expire([request], sinks)
+            return request.future
+        if request.trace is not None:
+            # Before the append: once queued a worker may advance the
+            # trace.  A refusal below still finishes one complete tree.
+            request.trace.submitted()
+        with self.cond:
+            if self._closed():
+                # Uncounted, unlike a rejection: the submit raises.
+                error = RuntimeError(f"{self.owner} is closed; no new requests accepted")
+                end(request, (), "closed", exc=error)
+                raise error
+            refusal = check_locked()
+            if refusal is None:
+                for sink in sinks:
+                    sink.record_submitted()
+                self.append(request)
+                self.cond.notify_all()
+                return request.future
+        error, reason = refusal
+        end(request, sinks, "rejected", exc=error, reason=reason)
+        raise error
 
     def take_all(self) -> List[PendingRequest]:
         """Empty the queue, returning its requests (caller holds ``cond``)."""
@@ -329,18 +435,25 @@ class RequestQueue(deque):
         self.clear()
         return taken
 
+    def abandon(self, requests: List[PendingRequest], sinks: Sequence) -> None:
+        """Fail requests a non-draining close took from the queue."""
+        error = f"{self.owner} closed before the request was served"
+        for request in requests:
+            if claimed(request, sinks):
+                end(request, sinks, "abandoned", exc=RuntimeError(error))
+
     def collect(
-        self, telemetry, max_block: int, policy, max_wait_seconds: float
+        self, sinks: Sequence, max_block: int, policy, max_wait_seconds: float
     ) -> List[PendingRequest]:
         """Pop one dispatch's worth of requests, claimed for dispatch.
 
         Takes ``cond`` itself.  Waits up to the micro-batching window for
         the queue to fill to ``max_block``, then lets ``policy`` choose
         the width.  Requests whose deadline lapsed in the queue, or whose
-        client cancelled them, end through :func:`claim_or_end` (recorded
-        in ``telemetry``) and are never returned; the list may be empty.
+        client cancelled them, end (recorded on ``sinks``) and are never
+        returned; the list may be empty.
         """
-        with self._cond:
+        with self.cond:
             expired = sweep_expired(self)
             # Micro-batching window: measured from when assembly of this
             # batch starts (the queue may already hold requests that
@@ -363,212 +476,15 @@ class RequestQueue(deque):
                         remaining = min(remaining, slack)
                     if remaining <= 0:
                         break
-                    self._cond.wait(timeout=remaining)
+                    self.cond.wait(timeout=remaining)
                     expired.extend(sweep_expired(self))
             expired.extend(sweep_expired(self))
             width = policy.block_width(len(self)) if self else 0
             popped = [self.popleft() for _ in range(width)]
-        expire_requests(expired, telemetry)
+        _expire(expired, sinks)
         # A client that cancelled while queued is dropped here and never
         # enters the block.
-        return [request for request in popped if claim_or_end(request, telemetry)]
-
-
-class SolveScheduler:
-    """Thread-safe micro-batching front of one :class:`OperatorSession`.
-
-    Parameters
-    ----------
-    session:
-        The owning session; the scheduler calls its ``_solve_block`` for
-        each dispatch (pinned context, pooled workspaces).
-    max_block:
-        Queue capacity per batch — at most this many requests ride in one
-        dispatch (also the cap the policy works under).
-    max_wait_ms:
-        Micro-batching window: a waiting request is dispatched at most
-        this many milliseconds after it became the oldest in the queue,
-        full batch or not.  The latency/throughput dial: larger windows
-        coalesce sparser traffic into wider (cheaper per RHS) blocks at
-        the price of queue-wait latency.
-    policy:
-        :class:`~repro.serve.policy.BatchingPolicy` consulted per dispatch.
-    telemetry:
-        Optional shared :class:`ServeTelemetry` (a fresh one by default).
-    """
-
-    def __init__(
-        self,
-        session: "OperatorSession",
-        *,
-        max_block: int,
-        max_wait_ms: float,
-        policy,
-        telemetry: Optional[ServeTelemetry] = None,
-    ) -> None:
-        if max_block < 1:
-            raise ValueError("max_block must be at least 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
-        self._session = session
-        self.max_block = int(max_block)
-        self.max_wait_seconds = float(max_wait_ms) / 1e3
-        self.policy = policy
-        self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._closed = False
-        self._queue = RequestQueue(self._wakeup, lambda: self._closed)
-        # The dispatcher thread starts lazily on the first submit():  a
-        # registry-cached warm session that is only ever driven through the
-        # farm's shared worker pool (or through direct solve()/solve_many()
-        # calls) never pins a thread of its own.
-        self._dispatcher: Optional[threading.Thread] = None
-
-    # ------------------------------------------------------------------ #
-    # client side                                                        #
-    # ------------------------------------------------------------------ #
-    def submit(
-        self, b: np.ndarray, *, deadline_ms: Optional[float] = None
-    ) -> "Future[ServeResult]":
-        """Enqueue one right-hand side; returns a future of its result.
-
-        Validation happens here, synchronously, so a malformed request is
-        rejected *before* it can share a Krylov basis with anyone else:
-        its future fails with ``ValueError`` and no batchmate sees it.
-
-        ``deadline_ms`` bounds the request end to end: a deadline that
-        lapses while the request is still queued fails its future fast
-        with :class:`~repro.serve.errors.DeadlineExceededError` (the
-        request is never dispatched); one that lapses mid-solve resolves
-        the future normally with status ``TIMED_OUT`` and the best
-        iterate reached.  Cancelling the returned future while queued
-        drops the request before dispatch; cancelling in flight stops the
-        solve cooperatively within one restart cycle (status
-        ``CANCELLED``).
-        """
-        tracer = getattr(self._session, "tracer", None)
-        try:
-            column = self._validated_column(b)
-        except ValueError as exc:
-            failed: Future = Future()
-            failed.set_exception(exc)
-            self.telemetry.record_rejected()
-            if tracer is not None:
-                # Telemetry counts sync rejections as submitted+failed;
-                # mirror that with an immediately-closed span tree so the
-                # trace ledger reconciles against the counters.
-                RequestTrace.rejected(
-                    tracer, "rejected", session=self._session.name, error=repr(exc)
-                )
-            return failed
-        request = PendingRequest(column, deadline_ms=deadline_ms)
-        if tracer is not None:
-            request.trace = RequestTrace(
-                tracer, session=self._session.name, deadline_ms=deadline_ms
-            )
-        if request.expired:
-            # Dead on arrival (non-positive budget): fail fast without
-            # ever touching the queue — still through the future, so the
-            # caller sees a single error surface.
-            self.telemetry.record_submitted()
-            expire_requests([request], self.telemetry)
-            return request.future
-        if request.trace is not None:
-            # Admission decided before the queue append: once appended the
-            # dispatcher may advance the trace concurrently.
-            request.trace.submitted()
-        with self._wakeup:
-            if self._closed:
-                if request.trace is not None:
-                    # Not counted by telemetry (the submit raises instead
-                    # of failing a future), so the outcome is distinct
-                    # from the counted rejections.
-                    request.trace.finish("closed")
-                raise RuntimeError("scheduler is closed; no new requests accepted")
-            self._queue.append(request)
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._run,
-                    name=f"repro-serve-dispatcher-{self._session.name}",
-                    daemon=True,
-                )
-                self._dispatcher.start()
-            self._wakeup.notify_all()
-        self.telemetry.record_submitted()
-        return request.future
-
-    def _validated_column(self, b: np.ndarray) -> np.ndarray:
-        # One validation path for both entry points (see
-        # OperatorSession.validate_rhs): shape normalization, the
-        # non-finite rejection, and the defensive copy.
-        return self._session.validate_rhs(b)
-
-    def stats(self) -> ServeStats:
-        """Current :class:`ServeStats` snapshot."""
-        return self.telemetry.snapshot()
-
-    @property
-    def pending(self) -> int:
-        """Requests currently waiting in the queue."""
-        with self._lock:
-            return len(self._queue)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # ------------------------------------------------------------------ #
-    # shutdown                                                           #
-    # ------------------------------------------------------------------ #
-    def close(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting requests and shut the dispatcher down.
-
-        ``drain=True`` (default) lets already-queued requests complete;
-        ``drain=False`` fails them with :class:`RuntimeError`.
-        """
-        with self._wakeup:
-            dispatcher = self._dispatcher
-            if self._closed and (dispatcher is None or not dispatcher.is_alive()):
-                return
-            self._closed = True
-            abandoned = [] if drain else self._queue.take_all()
-            self._wakeup.notify_all()
-        for request in abandoned:
-            claim_or_end(
-                request,
-                self.telemetry,
-                "abandoned",
-                RuntimeError("scheduler closed before the request was served"),
-            )
-        if dispatcher is not None and threading.current_thread() is not dispatcher:
-            dispatcher.join(timeout=timeout)
-
-    # ------------------------------------------------------------------ #
-    # dispatcher                                                         #
-    # ------------------------------------------------------------------ #
-    def _run(self) -> None:
-        while True:
-            with self._wakeup:
-                while not self._queue and not self._closed:
-                    self._wakeup.wait()
-                if not self._queue:
-                    return  # closed and drained
-            batch = self._queue.collect(
-                self.telemetry, self.max_block, self.policy, self.max_wait_seconds
-            )
-            if batch:
-                self._dispatch(batch)
-
-    def _dispatch(self, batch: List[PendingRequest]) -> None:
-        run_batch(
-            self._session,
-            batch,
-            self.telemetry,
-            tracer=getattr(self._session, "tracer", None),
-            health=getattr(self._session, "health", None),
-            component=self._session.name,
-        )
+        return [request for request in popped if claimed(request, sinks)]
 
 
 @dataclass
@@ -630,34 +546,34 @@ def _chain_probes(*probes):
 def run_batch(
     session: "OperatorSession",
     batch: List[PendingRequest],
-    telemetry: ServeTelemetry,
+    sinks: Sequence,
     *,
     tracer=None,
     tenant: Optional[str] = None,
     health=None,
     component: Optional[str] = None,
 ) -> BatchReport:
-    """Run one assembled batch and resolve its futures (the dispatch core).
+    """Run one assembled batch and end its requests (the dispatch core).
 
-    Called by the per-session :class:`SolveScheduler` dispatcher and the
-    farm's worker pool (:mod:`repro.serve.farm`) on the claimed requests
-    :meth:`RequestQueue.collect` returned: assemble the column block, run the batched solve through ``session._solve_block`` (pinned
-    context, pooled workspaces, one per-request control token per
-    column), apply the width-1 retry containment to non-converged
-    columns, demultiplex per-column :class:`ServeResult` objects into the
-    request futures, and account the batch in ``telemetry``.  Solver
-    exceptions are forwarded to every future of the batch; this function
-    itself never raises.  Returns a :class:`BatchReport` the farm feeds
-    into the tenant's circuit breaker.
+    Called by the session's dispatcher and the farm's workers on the
+    claimed requests :meth:`RequestQueue.collect` returned: assemble the
+    column block, run the batched solve through ``session._solve_block``
+    (pinned context, pooled workspaces, one control token per column),
+    apply the width-1 retry containment to non-converged columns, and
+    :func:`end` each request with its own :class:`ServeResult`.  A solver
+    exception ends every request of the batch as ``"error"``; this
+    function itself never raises.  Returns a :class:`BatchReport` the farm
+    feeds into the tenant's circuit breaker.
 
     When ``tracer`` (a :class:`repro.obs.Tracer`) is given, the dispatch
     is traced: one ``batch`` span with ``batch_assembly`` / ``solve`` /
     ``demux`` children, solver probe events on the solve span, and every
     request's trace advanced to ``dispatch`` and finished with its
-    terminal outcome.  ``tenant`` labels the farm's batches.  With a
-    sampling tracer, batch spans are only created when at least one
-    request of the batch is head-sampled (a fully tail-deferred batch
-    costs no span allocations unless its requests get kept).
+    terminal outcome (after the batch spans close).  ``tenant`` labels the
+    farm's batches.  With a sampling tracer, batch spans are only created
+    when at least one request of the batch is head-sampled (a fully
+    tail-deferred batch costs no span allocations unless its requests get
+    kept).
 
     When ``health`` (a :class:`repro.obs.HealthMonitor`) is given, a
     convergence watch rides the solver probe stream, the finished
@@ -666,14 +582,14 @@ def run_batch(
     (``component`` names the alert scope; defaults to the session name).
     """
     dispatched_at = time.perf_counter()
-    queue_waits = [dispatched_at - r.enqueued_at for r in batch]
+    for request in batch:
+        request.queue_wait = dispatched_at - request.enqueued_at
     width = len(batch)
     if component is None:
         component = session.name
     watch = None if health is None else health.convergence_watch(component)
 
     batch_span = None
-    probe = None
     trace_batch = tracer is not None and (
         tracer.sampler is None
         or any(r.trace is not None and r.trace.sampled for r in batch)
@@ -701,8 +617,8 @@ def run_batch(
     if assembly_span is not None:
         assembly_span.finish()
 
-    failed = 0
     retried = 0
+    block_iterations = 0
     report = BatchReport(width=width)
     solve_span = None
     try:
@@ -715,7 +631,8 @@ def run_batch(
         multi = session._solve_block(B, controls=controls, probe=probe)
         solve_seconds = time.perf_counter() - start
         columns = multi.split()
-        solve_times = [solve_seconds] * width
+        for request in batch:
+            request.solve_seconds = solve_seconds
         retry_errors: Dict[int, BaseException] = {}
         if width > 1 and session.retry_failed:
             no_retry = (
@@ -767,56 +684,47 @@ def run_batch(
                     columns[c] = retry
                     if retry_span is not None:
                         retry_span.finish(status=retry.status.name)
-                solve_times[c] += time.perf_counter() - start
+                batch[c].solve_seconds += time.perf_counter() - start
                 retried += 1
+        block_iterations = multi.block_iterations
         if solve_span is not None:
-            solve_span.finish(block_iterations=multi.block_iterations)
+            solve_span.finish(block_iterations=block_iterations)
     except Exception as exc:  # noqa: BLE001 - forwarded to the futures
         solve_seconds = time.perf_counter() - dispatched_at
-        solve_times = [solve_seconds] * width
-        failed = width
+        for request in batch:
+            request.solve_seconds = solve_seconds
         report.exception = exc
         if solve_span is not None:
             solve_span.finish(error=repr(exc))
-        alerts = 0 if watch is None else watch.alerts
-        if health is not None:
-            alerts += health.observe_batch(component, report, solve_seconds)
-        for request in batch:
-            fail_future(request.future, exc)
-            if request.trace is not None:
-                if alerts:
-                    request.trace.mark_keep()
-                request.trace.finish("error", error=repr(exc))
     else:
         report.statuses = [column.status for column in columns]
         report.nonfinite = any(
             not np.isfinite(column.relative_residual) for column in columns
         )
-        # Detector verdicts must land before the per-request finishes so a
-        # flagged batch's deferred traces are retained by the tail rules.
-        alerts = 0 if watch is None else watch.alerts
-        if health is not None:
-            alerts += health.observe_batch(component, report, solve_seconds)
-        if alerts:
-            for request in batch:
-                if request.trace is not None:
-                    request.trace.mark_keep()
+    # Detector verdicts must land before the request traces finish, so a
+    # flagged batch's deferred traces are retained by the tail rules.
+    alerts = 0 if watch is None else watch.alerts
+    if health is not None:
+        alerts += health.observe_batch(component, report, solve_seconds)
+    if alerts:
+        for request in batch:
+            if request.trace is not None:
+                request.trace.mark_keep()
+    results: List[ServeResult] = []
+    if report.exception is None:
         demux_span = (
             None if batch_span is None
             else tracer.start_span("demux", parent=batch_span)
         )
         for c, request in enumerate(batch):
             column = columns[c]
-            details: Dict[str, object] = {
-                "block_iterations": multi.block_iterations
-            }
+            details: Dict[str, object] = {"block_iterations": block_iterations}
             if c in retry_errors:
                 # The retry itself blew up: the request still resolves
                 # with its (non-converged) batch result; only the
                 # retry error is recorded for this one column.
                 details["retry_error"] = repr(retry_errors[c])
-            complete_future(
-                request.future,
+            results.append(
                 ServeResult(
                     x=column.x,
                     status=column.status,
@@ -825,35 +733,25 @@ def run_batch(
                     relative_residual_fp64=column.relative_residual_fp64,
                     history=column.history,
                     solve_result=column,
-                    queue_wait_seconds=queue_waits[c],
-                    solve_seconds=solve_times[c],
+                    queue_wait_seconds=request.queue_wait,
+                    solve_seconds=request.solve_seconds,
                     batch_size=width,
                     details=details,
-                ),
-            )
-            if request.trace is not None:
-                request.trace.finish(
-                    column.status.name.lower(), iterations=column.iterations
                 )
+            )
         if demux_span is not None:
             demux_span.finish()
     if batch_span is not None:
         batch_span.finish(
-            failed=failed,
+            failed=0 if report.exception is None else width,
             retried=retried,
             statuses=[s.name for s in report.statuses],
         )
-    telemetry.record_batch(
-        queue_waits,
-        solve_times,
-        block_iterations=0 if failed else multi.block_iterations,
-        failed=failed,
-        retried=retried,
-        timed_out=sum(
-            1 for s in report.statuses if s == SolverStatus.TIMED_OUT
-        ),
-        cancelled=sum(
-            1 for s in report.statuses if s == SolverStatus.CANCELLED
-        ),
-    )
+    for sink in sinks:
+        if isinstance(sink, ServeTelemetry):
+            sink.record_batch(width, block_iterations)
+    for request in batch if report.exception is not None else ():
+        end(request, sinks, "error", exc=report.exception, error=repr(report.exception))
+    for request, result in zip(batch, results):
+        end(request, sinks, result.status.value, result=result, iterations=result.iterations)
     return report

@@ -20,8 +20,8 @@ cost is just the solve itself:
   — so dispatches reuse pooled Krylov storage, extending the PR-2
   allocation-free contract across whole solves (a steady-state dispatch
   allocates no basis memory);
-* the **micro-batching scheduler** (:class:`~repro.serve.scheduler.SolveScheduler`)
-  and its telemetry.
+* the **micro-batching queue** and its dispatcher thread, running on the
+  dispatch core of :mod:`repro.serve.scheduler` shared with the farm.
 
 Solves are serialized on a session-level lock — the modelled device is one
 GPU, and the pooled workspaces are shared mutable state — so concurrent
@@ -31,6 +31,7 @@ GPU, and the pooled workspaces are shared mutable state — so concurrent
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -48,37 +49,10 @@ from ..solvers.gmres_ir import gmres_ir
 from ..solvers.result import MultiSolveResult, SolveResult
 from ..sparse.csr import CsrMatrix
 from .policy import BatchingPolicy
-from .scheduler import SolveScheduler
-from .telemetry import ServeStats, ServeTelemetry, TelemetryFanout
+from .scheduler import RequestQueue, ServeResult, run_batch, validate_rhs
+from .telemetry import ServeStats, ServeTelemetry
 
-__all__ = ["OperatorSession", "validate_rhs"]
-
-
-def validate_rhs(b: np.ndarray, n_rows: int) -> np.ndarray:
-    """Normalize one right-hand side to an owned length-``n_rows`` column.
-
-    The single validation path of the serve layer: shape-checks, rejects
-    non-finite entries (they would poison a shared Krylov basis — and a
-    direct NaN solve is equally meaningless), and copies so a caller
-    mutating its array afterwards cannot corrupt a queued batch.  Raises
-    :class:`ValueError` on invalid input.  Module-level so the farm can
-    validate against a registered operator's dimensions without forcing
-    its (possibly evicted) session to be rebuilt first.
-    """
-    column = np.asarray(b, dtype=np.float64)
-    if column.ndim == 2 and column.shape[1] == 1:
-        column = column[:, 0]
-    if column.ndim != 1 or column.shape[0] != n_rows:
-        raise ValueError(
-            f"right-hand side must be a length-{n_rows} vector, "
-            f"got shape {np.asarray(b).shape}"
-        )
-    if not np.all(np.isfinite(column)):
-        raise ValueError(
-            "right-hand side contains non-finite entries; rejecting it "
-            "before it can poison a shared Krylov basis"
-        )
-    return np.array(column, copy=True)
+__all__ = ["OperatorSession"]
 
 
 def _nbytes_of(obj: object, depth: int = 2) -> int:
@@ -177,7 +151,6 @@ class OperatorSession:
         max_block: Optional[int] = None,
         max_wait_ms: Optional[float] = None,
         policy: Union[str, BatchingPolicy, None] = None,
-        telemetry: Optional[ServeTelemetry] = None,
         name: Optional[str] = None,
         warmup: bool = True,
         obs=None,
@@ -196,20 +169,22 @@ class OperatorSession:
         if self.max_block < 1:
             raise ValueError("max_block must be at least 1")
         wait = cfg.serve.max_wait_ms if max_wait_ms is None else float(max_wait_ms)
+        if wait < 0:
+            raise ValueError("max_wait_ms must be non-negative")
+        self.max_wait_seconds = wait / 1e3
         self.retry_failed = bool(retry_failed)
         self.name = name or f"serve-{matrix.name or 'operator'}"
         self.obs = resolve_observability(obs)
-        #: The session's tracer (None = tracing off; the scheduler and
-        #: the shared dispatch core read this on every hot-path decision).
+        #: The session's tracer (None = tracing off; the shared dispatch
+        #: core reads this on every hot-path decision).
         self.tracer = self.obs.tracer
         #: Optional HealthMonitor (explicit via obs=): the dispatch core
-        #: runs its detectors and the telemetry feeds its SLO tracker.
+        #: runs its detectors and every request ends on its SLO tracker.
         self.health = self.obs.health
-        if self.health is not None:
-            telemetry = TelemetryFanout(
-                telemetry if telemetry is not None else ServeTelemetry(),
-                self.health.tracker(self.name),
-            )
+        self.telemetry = ServeTelemetry()
+        self._sinks = (self.telemetry,) + (
+            () if self.health is None else (self.health.tracker(self.name),)
+        )
 
         # Pin the execution context: resolve the (possibly config-lazy)
         # backend of the *current* context into an explicit instance, so
@@ -289,16 +264,15 @@ class OperatorSession:
         self._workspaces: Dict[int, BlockGmresWorkspace] = {}
         self._single_workspace: Optional[GmresWorkspace] = None
         self._solve_lock = threading.Lock()
-        self._closed = False
+        self._closed = False  # close(): solves are refused
+        self._retired = False  # close() or release(): submits are refused
+        self._cond = threading.Condition()
+        self._queue = RequestQueue(self._cond, lambda: self._retired, "session")
+        # Started by the first submit(): a session only ever driven by a
+        # farm's workers or direct solves never pins a thread of its own.
+        self._dispatcher: Optional[threading.Thread] = None
         if warmup:
             self._warmup()
-        self.scheduler = SolveScheduler(
-            self,
-            max_block=self.max_block,
-            max_wait_ms=wait,
-            policy=self.policy,
-            telemetry=telemetry,
-        )
         if self.obs.registry is not None:
             watch_session(self, registry=self.obs.registry)
 
@@ -313,21 +287,14 @@ class OperatorSession:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def retired(self) -> bool:
+        """True once :meth:`close` or :meth:`release` stopped the queue."""
+        return self._retired
+
     def stats(self) -> ServeStats:
         """Current service-telemetry snapshot."""
-        return self.scheduler.stats()
-
-    def validate_rhs(self, b: np.ndarray) -> np.ndarray:
-        """Normalize one right-hand side to an owned length-``n`` column.
-
-        The single validation path shared by :meth:`submit` (via the
-        scheduler) and :meth:`solve`: shape-checks, rejects non-finite
-        entries (they would poison a shared Krylov basis — and a direct
-        NaN solve is equally meaningless), and copies so a caller mutating
-        its array afterwards cannot corrupt a queued batch.  Raises
-        :class:`ValueError` on invalid input.
-        """
-        return validate_rhs(b, self.n_rows)
+        return self.telemetry.snapshot()
 
     def estimated_bytes(self) -> int:
         """Estimated resident bytes of the session's amortizable state.
@@ -415,7 +382,7 @@ class OperatorSession:
     def _as_multi(result: SolveResult) -> MultiSolveResult:
         """Adapt a single-vector :class:`SolveResult` to the batch shape.
 
-        The scheduler demultiplexes every dispatch through
+        The dispatch core demultiplexes every dispatch through
         :meth:`MultiSolveResult.split`; width-1 dispatches run the
         single-vector driver, so its result is wrapped into an equivalent
         one-column batch (same arrays, statuses and timer).
@@ -439,7 +406,7 @@ class OperatorSession:
     def _solve_block(
         self, B: np.ndarray, *, controls: Optional[List] = None, probe=None
     ) -> MultiSolveResult:
-        """Run one dispatch under the pinned context (the scheduler hook).
+        """Run one dispatch under the pinned context (the dispatch core's hook).
 
         Width-1 dispatches run the canonical *single-vector* driver
         (``gmres`` / ``gmres_ir``) — the unbatched service path is exactly
@@ -492,11 +459,12 @@ class OperatorSession:
 
     def submit(
         self, b: np.ndarray, *, deadline_ms: Optional[float] = None
-    ) -> "object":
+    ) -> "Future[ServeResult]":
         """Enqueue one right-hand side; returns ``Future[ServeResult]``.
 
-        The scheduler may coalesce it with other waiting requests into one
-        batched solve (see :class:`~repro.serve.scheduler.SolveScheduler`).
+        The dispatcher may coalesce it with other waiting requests into
+        one batched solve.  A malformed right-hand side fails its future
+        with ``ValueError`` before it can share a Krylov basis.
         ``deadline_ms`` bounds the request end to end: expiry in the queue
         fails the future fast with
         :class:`~repro.serve.errors.DeadlineExceededError`; expiry
@@ -504,16 +472,18 @@ class OperatorSession:
         Cancelling the future reaches an in-flight solve cooperatively
         (status ``CANCELLED`` within one restart cycle).
         """
-        return self.scheduler.submit(b, deadline_ms=deadline_ms)
+        return self._queue.admit(
+            b, self.n_rows, self._sinks, self.tracer, deadline_ms=deadline_ms,
+            check_locked=self._start_dispatcher_locked, session=self.name,
+        )
 
     async def asubmit(
         self, b: np.ndarray, *, deadline_ms: Optional[float] = None
-    ) -> "object":
+    ) -> "ServeResult":
         """Awaitable :meth:`submit`: resolve one request on the event loop.
 
-        The ``asyncio`` front of the ``Future``-based scheduler — the
-        request still rides the same micro-batching queue and worker
-        machinery; only the waiting is non-blocking::
+        The request rides the same micro-batching queue and dispatcher;
+        only the waiting is non-blocking::
 
             result = await session.asubmit(b)
 
@@ -523,21 +493,19 @@ class OperatorSession:
         """
         import asyncio
 
-        return await asyncio.wrap_future(
-            self.scheduler.submit(b, deadline_ms=deadline_ms)
-        )
+        return await asyncio.wrap_future(self.submit(b, deadline_ms=deadline_ms))
 
     def solve(self, b: np.ndarray) -> SolveResult:
         """Synchronous direct solve of one right-hand side (no batching).
 
         Runs the exact machinery a width-1 dispatch runs — the canonical
         single-vector driver under the pinned context with the pooled
-        workspace — so a request served through an unbatched scheduler
+        workspace — so a request served through an unbatched session
         resolves bit-identically to this call, and both are bit-identical
         to :func:`repro.solvers.gmres.gmres` with the session's
         configuration.  Bypasses the queue and the telemetry.
         """
-        multi = self._solve_block(self.validate_rhs(b).reshape(-1, 1))
+        multi = self._solve_block(validate_rhs(b, self.n_rows).reshape(-1, 1))
         return multi.split()[0]
 
     def solve_many(self, B: np.ndarray) -> MultiSolveResult:
@@ -583,22 +551,61 @@ class OperatorSession:
     # lifecycle                                                          #
     # ------------------------------------------------------------------ #
     def close(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Shut the scheduler down; ``drain=True`` finishes queued work."""
-        self.scheduler.close(drain=drain, timeout=timeout)
+        """Shut the queue and direct solves down; ``drain=True`` finishes
+        queued work, ``drain=False`` fails it with :class:`RuntimeError`."""
+        self._retire(drain, timeout)
         self._closed = True
 
     def release(self, *, timeout: Optional[float] = None) -> None:
         """Retire the session from service without invalidating in-flight work.
 
         The eviction path of the :class:`~repro.serve.registry.SessionRegistry`:
-        the scheduler is shut down (draining its own queue), so no *new*
-        ``submit()`` is accepted — but unlike :meth:`close` the session is
+        the queue is drained and closed, so no *new* ``submit()`` is
+        accepted — but unlike :meth:`close` the session is
         **not** marked closed, so a farm worker holding a reference across
         the eviction can still finish its current dispatch through
         ``_solve_block``.  The warmed plans and workspaces are freed when
         the last reference is dropped.
         """
-        self.scheduler.close(drain=True, timeout=timeout)
+        self._retire(True, timeout)
+
+    def _retire(self, drain: bool, timeout: Optional[float]) -> None:
+        with self._cond:
+            dispatcher = self._dispatcher
+            if self._retired and (dispatcher is None or not dispatcher.is_alive()):
+                return
+            self._retired = True
+            abandoned = [] if drain else self._queue.take_all()
+            self._cond.notify_all()
+        self._queue.abandon(abandoned, self._sinks)
+        if dispatcher is not None and threading.current_thread() is not dispatcher:
+            dispatcher.join(timeout=timeout)
+
+    # ------------------------------------------------------------------ #
+    # dispatcher                                                         #
+    # ------------------------------------------------------------------ #
+    def _start_dispatcher_locked(self) -> None:
+        """:meth:`submit`'s admission check: admits, starting the dispatcher."""
+        if self._dispatcher is None:
+            self._dispatcher = threading.Thread(
+                target=self._dispatch_loop,
+                name=f"repro-serve-dispatcher-{self.name}",
+                daemon=True,
+            )
+            self._dispatcher.start()
+
+    def _dispatch_loop(self) -> None:
+        while True:
+            with self._cond:
+                while not self._queue and not self._retired:
+                    self._cond.wait()
+                if not self._queue:
+                    return  # retired and drained
+            batch = self._queue.collect(
+                self._sinks, self.max_block, self.policy, self.max_wait_seconds
+            )
+            if batch:
+                run_batch(self, batch, self._sinks, tracer=self.tracer, health=self.health)
 
     def __enter__(self) -> "OperatorSession":
         return self

@@ -1,11 +1,13 @@
 """Service telemetry: per-request latency, batch occupancy, throughput.
 
-The serve layer's observable surface.  A :class:`ServeTelemetry` instance
-is owned by one :class:`~repro.serve.scheduler.SolveScheduler` and updated
-from two threads (client submits, dispatcher completions) under its own
-lock; :meth:`ServeTelemetry.snapshot` freezes everything into an immutable
-:class:`ServeStats` dataclass, which is what ``benchmarks/_harness.py
---serve`` dumps into ``BENCH_serve.json``.
+The serve layer's observable surface.  A :class:`ServeTelemetry` is a
+telemetry *sink* (a session owns one, a :class:`FarmTelemetry` one per
+tenant plus a fleet-wide one).  Every sink — :class:`repro.obs.slo.SloTracker`
+too — takes ``record_submitted()`` at admission and one ``record_end(...)``,
+the request's terminal event from :func:`repro.serve.scheduler.end`.
+Sinks are thread-safe; :meth:`ServeTelemetry.snapshot` freezes one into an
+immutable :class:`ServeStats`, which ``benchmarks/_harness.py --serve``
+dumps into ``BENCH_serve.json``.
 
 Latency accounting per request:
 
@@ -24,7 +26,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +34,6 @@ __all__ = [
     "LatencySummary",
     "ServeStats",
     "ServeTelemetry",
-    "TelemetryFanout",
     "TenantStats",
     "FarmStats",
     "FarmTelemetry",
@@ -191,7 +192,7 @@ class ServeTelemetry:
         self._last_completion: Optional[float] = None
 
     # ------------------------------------------------------------------ #
-    # recording (called by the scheduler)                                #
+    # recording: the sink protocol plus the batch-level record           #
     # ------------------------------------------------------------------ #
     def record_submitted(self) -> None:
         now = time.perf_counter()
@@ -200,81 +201,47 @@ class ServeTelemetry:
             if self._first_submit is None:
                 self._first_submit = now
 
-    def record_rejected(self) -> None:
-        """A request failed validation before ever entering the queue."""
-        with self._lock:
-            self._submitted += 1
-            self._failed += 1
-
-    def record_timeout(self) -> None:
-        """An already-submitted request expired in the queue.
-
-        The batch assembler found its deadline lapsed and failed it fast
-        with ``DeadlineExceededError`` — it was never dispatched.
-        """
-        with self._lock:
-            self._failed += 1
-            self._timed_out += 1
-
-    def record_cancelled(self) -> None:
-        """An already-submitted request was cancelled while queued.
-
-        Its future resolved as cancelled; the request was dropped before
-        dispatch and no solver work was spent on it.
-        """
-        with self._lock:
-            self._failed += 1
-            self._cancelled += 1
-
-    def record_abandoned(self) -> None:
-        """An already-submitted request was failed by a non-drain close."""
-        with self._lock:
-            self._failed += 1
-
-    def record_batch(
+    def record_end(
         self,
-        queue_waits: List[float],
-        solve_seconds: "float | List[float]",
+        outcome: str,
         *,
-        block_iterations: int = 0,
-        failed: int = 0,
-        retried: int = 0,
-        timed_out: int = 0,
-        cancelled: int = 0,
+        result=None,
+        exc: Optional[BaseException] = None,
+        queue_wait: Optional[float] = None,
+        solve_seconds: Optional[float] = None,
     ) -> None:
-        """Account one dispatched batch.
+        """Account one request's terminal event.
 
-        ``queue_waits`` has one entry per request in the batch;
-        ``solve_seconds`` is the batch solve wall time (a scalar shared by
-        every request, or one entry per request when sequential retries
-        gave some of them extra solve time); ``failed`` counts requests
-        whose future was resolved with an exception (the rest completed)
-        and ``retried`` those that went through the width-1 retry.
-        ``timed_out`` / ``cancelled`` count requests of this batch that
-        resolved with status ``TIMED_OUT`` / ``CANCELLED`` mid-solve —
-        they still count as completed (their future carries a result).
+        With a ``result`` the request completed (whatever its status),
+        else it failed; a ``"rejected"`` one was never admitted, so it is
+        counted submitted here.  A dispatched request carries its
+        ``queue_wait`` and ``solve_seconds``.
         """
         now = time.perf_counter()
-        occupancy = len(queue_waits)
-        if isinstance(solve_seconds, (int, float)):
-            solve_seconds = [float(solve_seconds)] * occupancy
-        if len(solve_seconds) != occupancy:
-            raise ValueError("solve_seconds must match the batch occupancy")
+        with self._lock:
+            if outcome == "rejected":
+                self._submitted += 1
+            if result is None:
+                self._failed += 1
+            else:
+                self._completed += 1
+                self._retried += result.retried
+            if outcome in ("deadline_exceeded", "timed_out"):
+                self._timed_out += 1
+            elif outcome == "cancelled":
+                self._cancelled += 1
+            if queue_wait is not None:
+                self._queue_waits.append(queue_wait)
+                self._solves.append(solve_seconds)
+                self._latencies.append(queue_wait + solve_seconds)
+                self._last_completion = now
+
+    def record_batch(self, width: int, block_iterations: int) -> None:
+        """Account one dispatched batch (its requests end separately)."""
         with self._lock:
             self._batches += 1
-            self._occupancy[occupancy] = self._occupancy.get(occupancy, 0) + 1
-            self._completed += occupancy - failed
-            self._failed += failed
-            self._retried += retried
-            self._timed_out += timed_out
-            self._cancelled += cancelled
+            self._occupancy[width] = self._occupancy.get(width, 0) + 1
             self._block_iterations += block_iterations
-            self._queue_waits.extend(queue_waits)
-            self._solves.extend(solve_seconds)
-            self._latencies.extend(
-                w + s for w, s in zip(queue_waits, solve_seconds)
-            )
-            self._last_completion = now
 
     # ------------------------------------------------------------------ #
     # reading                                                            #
@@ -303,50 +270,6 @@ class ServeTelemetry:
                 elapsed_seconds=elapsed,
                 block_iterations=self._block_iterations,
             )
-
-
-class TelemetryFanout:
-    """Forward the recording half of :class:`ServeTelemetry` to many sinks.
-
-    The farm accounts every event twice — once in the tenant's own
-    telemetry, once in the fleet-wide aggregate — so both levels report
-    exact counters and true (not re-derived) latency percentiles.  A
-    fanout bundles the two sinks behind the single-telemetry interface
-    :func:`~repro.serve.scheduler.run_batch` expects; ``snapshot()``
-    reads the *first* sink (the tenant).
-    """
-
-    def __init__(self, *sinks: ServeTelemetry) -> None:
-        if not sinks:
-            raise ValueError("TelemetryFanout needs at least one sink")
-        self._sinks = sinks
-
-    def record_submitted(self) -> None:
-        for sink in self._sinks:
-            sink.record_submitted()
-
-    def record_rejected(self) -> None:
-        for sink in self._sinks:
-            sink.record_rejected()
-
-    def record_timeout(self) -> None:
-        for sink in self._sinks:
-            sink.record_timeout()
-
-    def record_cancelled(self) -> None:
-        for sink in self._sinks:
-            sink.record_cancelled()
-
-    def record_abandoned(self) -> None:
-        for sink in self._sinks:
-            sink.record_abandoned()
-
-    def record_batch(self, queue_waits, solve_seconds, **kwargs) -> None:
-        for sink in self._sinks:
-            sink.record_batch(queue_waits, solve_seconds, **kwargs)
-
-    def snapshot(self) -> ServeStats:
-        return self._sinks[0].snapshot()
 
 
 @dataclass(frozen=True)
@@ -421,23 +344,20 @@ class FarmTelemetry:
     """Thread-safe fleet-and-tenant accumulator of a solver farm.
 
     Owns one :class:`ServeTelemetry` per tenant plus a fleet-wide one;
-    :meth:`sink` hands the farm a :class:`TelemetryFanout` recording into
-    both.  Registry lifecycle events (session creations, LRU evictions)
-    and admission rejections are counted here as well, so one
-    :meth:`snapshot` call captures the whole observable state of the
-    farm.
-
-    With an :class:`~repro.obs.slo.SloEngine` attached (``slo=``), every
-    sink additionally fans out into the engine's per-tenant
-    (``"<scope>/<key>"``) and fleet (``"<scope>"``) trackers — the SLO
-    ledger rides the existing fanout, no extra hook points in the farm.
+    :meth:`sink` hands the farm the sinks a tenant's requests end on, so
+    both levels report exact counters and true latency percentiles.
+    Registry lifecycle events and backpressure refusals are counted here
+    too, so one :meth:`snapshot` captures the farm.  With an
+    :class:`~repro.obs.slo.SloEngine` attached (``slo=``), the sinks also
+    include its per-tenant (``"<scope>/<key>"``) and fleet (``"<scope>"``)
+    trackers.
     """
 
     def __init__(self, *, slo=None, scope: str = "farm") -> None:
         self._lock = threading.Lock()
         self._fleet = ServeTelemetry()
         self._tenants: Dict[str, ServeTelemetry] = {}
-        self._sinks: Dict[str, TelemetryFanout] = {}
+        self._sinks: Dict[str, Tuple] = {}
         self._rejected: Dict[str, int] = {}
         self._evictions: Dict[str, int] = {}
         self._breaker_trips: Dict[str, int] = {}
@@ -448,34 +368,29 @@ class FarmTelemetry:
     # ------------------------------------------------------------------ #
     # recording                                                          #
     # ------------------------------------------------------------------ #
-    def tenant(self, key: str) -> ServeTelemetry:
-        """The per-tenant telemetry for ``key`` (created on first use)."""
+    def sink(self, key: str) -> Tuple:
+        """The sinks ``key``'s requests end on: tenant, fleet, and the two
+        SLO trackers when an engine is attached."""
         with self._lock:
-            telemetry = self._tenants.get(key)
-            if telemetry is None:
-                telemetry = self._tenants[key] = ServeTelemetry()
-            return telemetry
-
-    def sink(self, key: str) -> TelemetryFanout:
-        """A recording sink feeding both ``key``'s telemetry and the fleet's."""
-        with self._lock:
-            fanout = self._sinks.get(key)
-            if fanout is None:
+            sinks = self._sinks.get(key)
+            if sinks is None:
                 tenant = self._tenants.get(key)
                 if tenant is None:
                     tenant = self._tenants[key] = ServeTelemetry()
-                sinks = [tenant, self._fleet]
+                sinks = (tenant, self._fleet)
                 if self._slo is not None:
-                    sinks.append(self._slo.tracker(f"{self._scope}/{key}"))
-                    sinks.append(self._slo.tracker(self._scope))
-                fanout = self._sinks[key] = TelemetryFanout(*sinks)
-            return fanout
+                    sinks += (
+                        self._slo.tracker(f"{self._scope}/{key}"),
+                        self._slo.tracker(self._scope),
+                    )
+                self._sinks[key] = sinks
+            return sinks
 
-    def record_rejected(self, key: str) -> None:
-        """One admission rejection (backpressure) for tenant ``key``."""
+    def record_backpressure(self, key: str) -> None:
+        """One queue-full or circuit-open refusal for ``key`` (the request
+        itself ends on the sinks as ``"rejected"``)."""
         with self._lock:
             self._rejected[key] = self._rejected.get(key, 0) + 1
-        self.sink(key).record_rejected()
 
     def record_eviction(self, key: str) -> None:
         """The registry evicted ``key``'s warmed session."""

@@ -76,6 +76,13 @@ class FakeClock:
         self.t += dt
 
 
+def ended(tracker, outcome, count=1, *, wait=None, solve=None):
+    """Record ``count`` terminal events of one ``outcome`` on an SLO
+    tracker; ``wait``/``solve`` mark dispatched requests."""
+    for _ in range(count):
+        tracker.record_end(outcome, queue_wait=wait, solve_seconds=solve)
+
+
 def _request_roots(tracer):
     return [
         s
@@ -236,7 +243,8 @@ class TestSloEngine:
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
         # 10 requests, 1 failed: error rate 0.1 against a 0.01 budget.
-        tracker.record_batch([0.001] * 10, 0.002, failed=1)
+        ended(tracker, "error", wait=0.001, solve=0.002)
+        ended(tracker, "converged", 9, wait=0.001, solve=0.002)
         status = engine.status("svc")
         assert status.fast.total == 10
         assert status.fast.bad == 1
@@ -252,7 +260,7 @@ class TestSloEngine:
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
         # Hard outage: 20/20 failed -> burn 100x in both windows.
-        tracker.record_batch([0.001] * 20, 0.001, failed=20)
+        ended(tracker, "error", 20, wait=0.001, solve=0.001)
         status = engine.status("svc")
         assert status.burn_alert and status.breached
         assert status.error_budget_remaining == 0.0
@@ -268,7 +276,7 @@ class TestSloEngine:
         clock = FakeClock()
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_batch([0.001] * 5, 0.001, failed=5)
+        ended(tracker, "error", 5, wait=0.001, solve=0.001)
         clock.advance(101.0)
         status = engine.status("svc")
         assert status.slow.total == 0
@@ -278,11 +286,39 @@ class TestSloEngine:
         clock = FakeClock()
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_batch([0.001] * 4, 0.001, cancelled=2)
-        tracker.record_cancelled()
+        ended(tracker, "converged", 2, wait=0.001, solve=0.001)
+        ended(tracker, "cancelled", 2, wait=0.001, solve=0.001)  # mid-solve
+        ended(tracker, "cancelled")  # while queued
         status = engine.status("svc")
         assert status.fast.total == 2  # only the two good completions count
         assert status.fast.availability == 1.0
+
+    def test_mid_solve_timeout_counts_bad(self):
+        clock = FakeClock()
+        engine = SloEngine(self.POLICY, clock=clock)
+        tracker = engine.tracker("svc")
+        ended(tracker, "timed_out", wait=0.001, solve=0.001)
+        status = engine.status("svc")
+        assert status.fast.total == 1
+        assert status.fast.bad == 1
+
+    def test_mid_solve_cancellation_is_neutral(self):
+        clock = FakeClock()
+        engine = SloEngine(self.POLICY, clock=clock)
+        tracker = engine.tracker("svc")
+        ended(tracker, "cancelled", wait=0.001, solve=0.001)
+        status = engine.status("svc")
+        assert status.fast.total == 0
+        assert status.fast.latency_p50_ms == pytest.approx(2.0)
+
+    def test_non_converged_completion_counts_good(self):
+        clock = FakeClock()
+        engine = SloEngine(self.POLICY, clock=clock)
+        tracker = engine.tracker("svc")
+        ended(tracker, "max_iterations", wait=0.001, solve=0.001)
+        status = engine.status("svc")
+        assert status.fast.total == 1
+        assert status.fast.bad == 0
 
     def test_latency_objective(self):
         clock = FakeClock()
@@ -294,7 +330,7 @@ class TestSloEngine:
         )
         engine = SloEngine(policy, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_batch([0.005] * 20, 0.005)  # 10 ms >> 1 ms bound
+        ended(tracker, "converged", 20, wait=0.005, solve=0.005)  # 10 ms >> 1 ms
         status = engine.status("svc")
         assert status.fast.latency_p95_ms == pytest.approx(10.0)
         assert status.fast.latency_breached
@@ -304,10 +340,10 @@ class TestSloEngine:
         clock = FakeClock()
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_rejected()
-        tracker.record_timeout()
-        tracker.record_abandoned()
-        tracker.record_batch([0.001], 0.001)
+        ended(tracker, "rejected")
+        ended(tracker, "deadline_exceeded")
+        ended(tracker, "abandoned")
+        ended(tracker, "converged", wait=0.001, solve=0.001)
         status = engine.status("svc")
         assert status.fast.total == 4
         assert status.fast.bad == 3
@@ -481,7 +517,7 @@ class TestHealthMonitor:
             availability_target=0.99, fast_window_s=10.0, slow_window_s=100.0
         )
         monitor = HealthMonitor(policy, clock=clock)
-        monitor.tracker("svc").record_batch([0.001] * 20, 0.001, failed=20)
+        ended(monitor.tracker("svc"), "error", 20, wait=0.001, solve=0.001)
         report = monitor.health()
         assert report.state == "unhealthy"
         assert report.slo["svc"].breached
@@ -519,7 +555,7 @@ class TestHealthEndpoints:
     def test_healthz_and_slo_endpoints(self):
         reg = MetricsRegistry()
         monitor = HealthMonitor()
-        monitor.tracker("svc").record_batch([0.001], 0.002)
+        ended(monitor.tracker("svc"), "converged", wait=0.001, solve=0.002)
         with start_metrics_server(port=0, registry=reg, health=monitor) as server:
             base = server.url.rsplit("/", 1)[0]
             with urllib.request.urlopen(base + "/healthz", timeout=10) as response:
@@ -551,7 +587,9 @@ class TestHealthEndpoints:
     def test_watch_health_publishes_slo_metrics(self):
         reg = MetricsRegistry()
         monitor = HealthMonitor()
-        monitor.tracker("svc").record_batch([0.001] * 4, 0.002, failed=1)
+        tracker = monitor.tracker("svc")
+        ended(tracker, "error", wait=0.001, solve=0.002)
+        ended(tracker, "converged", 3, wait=0.001, solve=0.002)
         monitor.ledger.emit("residual_spike", "warning", "svc", "spike")
         watch_health(monitor, registry=reg)
         text = prometheus_text(reg)

@@ -236,7 +236,8 @@ class TestSchedulerCoalescing:
         fut = session.submit(np.ones(matrix.n_rows))
         time.sleep(0.05)  # let the dispatcher enter the batching window
         session.close(drain=False, timeout=10)
-        assert not session.scheduler._dispatcher.is_alive()
+        dispatcher = f"repro-serve-dispatcher-{session.name}"
+        assert not any(t.name == dispatcher for t in threading.enumerate())
         assert not crashes
         with pytest.raises(RuntimeError, match="closed"):
             fut.result(timeout=5)

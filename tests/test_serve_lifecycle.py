@@ -6,8 +6,9 @@ drives a one-worker :class:`~repro.serve.SolverFarm` and, separately, an
 :class:`~repro.serve.OperatorSession` on a small stencil matrix through
 random sequences of
 
-* plain submits (bursts of one to four right-hand sides, to either
-  operator);
+* plain submits (bursts of one to four right-hand sides, to any
+  operator; the farm keeps one warmed session for two healthy operators,
+  so alternating between them churns evictions);
 * invalid submits (wrong shape, non-finite entries);
 * submits with an already-lapsed or a short deadline;
 * cancellation of a recent future (queued, in flight or finished);
@@ -16,11 +17,14 @@ random sequences of
   circuit breaker);
 * a final ``close(drain=True|False)``.
 
-At quiescence (after ``close``, which joins the workers) every future is
-done, the telemetry ledger balances
+Every future carries a done-callback checking that the ledger is never
+ahead of admissions (``completed + failed <= submitted``).  At quiescence
+(after ``close``, which joins the workers) every future is done, the
+telemetry ledger balances
 (``requests_submitted == requests_completed + requests_failed``), the
-tracer holds no open span, and every counted request left exactly one
-``request`` root span.
+head-sampling tracer holds no open span, and every counted request was
+either kept as exactly one ``request`` root span or counted as sampled
+out.
 
 The tier-1 run uses the derandomized ``lifecycle`` profile registered in
 ``conftest.py``; set ``REPRO_LIFECYCLE_PROFILE=lifecycle-chaos`` for the
@@ -44,7 +48,7 @@ from hypothesis.stateful import (
 from repro.backends import get_backend
 from repro.linalg.context import use_backend
 from repro.matrices import laplace2d
-from repro.obs import Tracer
+from repro.obs import Sampler, Tracer
 from repro.serve import (
     CircuitOpenError,
     OperatorSession,
@@ -64,13 +68,17 @@ DEADLINES_MS = (-1.0, 0.0, 0.3, 2.0)
 #: Bound on any single wait; a future still pending after it is a hang.
 WAIT_S = 30.0
 
+#: Farm operators: two healthy farm operators sharing one session slot,
+#: and the fault-injected one (the session machine has one operator).
+KEYS = ("ok", "ok2", "faulty")
+
 PROFILE = settings.get_profile(os.environ.get("REPRO_LIFECYCLE_PROFILE", "lifecycle"))
 
 
 class _Lifecycle(RuleBasedStateMachine):
     """Rules shared by the farm and the session machines.
 
-    Subclasses provide ``_submit(b, deadline_ms, faulty)`` (returning the
+    Subclasses provide ``_submit(b, deadline_ms, key)`` (returning the
     future, or raising an admission error), ``_stats()`` and
     ``_close(drain)``.  ``self.faulty`` is the fault-injecting backend
     behind the operator the ``fault`` rule targets.
@@ -78,9 +86,12 @@ class _Lifecycle(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.tracer = Tracer()
+        # Half the requests are head-sampled; the rest run deferred and
+        # are tail-kept (failures, slow outliers) or counted sampled out.
+        self.tracer = Tracer(sampler=Sampler(head_rate=0.5))
         self.faulty = FaultInjectingBackend(get_backend("numpy"), seed=0)
         self.futures: list = []
+        self.ledger_ahead: list = []
         self.drain = True
         self.rng = np.random.default_rng(0)
 
@@ -88,11 +99,19 @@ class _Lifecycle(RuleBasedStateMachine):
     def _rhs(self) -> np.ndarray:
         return self.rng.standard_normal(MATRIX.n_rows)
 
-    def _track(self, b, *, deadline_ms=None, faulty=False):
+    def _check_ledger(self, future) -> None:
+        # Runs on whichever thread resolves the future; an assertion
+        # raised here would be swallowed, so violations are collected.
+        stats = self._stats()
+        if stats.requests_completed + stats.requests_failed > stats.requests_submitted:
+            self.ledger_ahead.append(stats)
+
+    def _track(self, b, *, deadline_ms=None, key="ok"):
         try:
-            future = self._submit(b, deadline_ms=deadline_ms, faulty=faulty)
+            future = self._submit(b, deadline_ms=deadline_ms, key=key)
         except (RejectedError, CircuitOpenError):
             return None
+        future.add_done_callback(self._check_ledger)
         self.futures.append(future)
         return future
 
@@ -103,10 +122,10 @@ class _Lifecycle(RuleBasedStateMachine):
         # close is always the final step.
         self.drain = drain
 
-    @rule(count=st.integers(1, 4), faulty=st.booleans())
-    def submit(self, count, faulty):
+    @rule(count=st.integers(1, 4), key=st.sampled_from(KEYS))
+    def submit(self, count, key):
         for _ in range(count):
-            self._track(self._rhs(), faulty=faulty)
+            self._track(self._rhs(), key=key)
 
     @rule(kind=st.sampled_from(["shape", "nan"]))
     def submit_invalid(self, kind):
@@ -137,7 +156,7 @@ class _Lifecycle(RuleBasedStateMachine):
         # batchmates that share its dispatch fail with it.
         self.faulty.exception_rate = 1.0
         try:
-            future = self._track(self._rhs(), faulty=True)
+            future = self._track(self._rhs(), key="faulty")
             if future is not None:
                 concurrent.futures.wait([future], timeout=WAIT_S)
                 assert future.done(), "faulted request hung"
@@ -157,21 +176,29 @@ class _Lifecycle(RuleBasedStateMachine):
         assert stats.requests_submitted == (
             stats.requests_completed + stats.requests_failed
         ), stats
+        assert not self.ledger_ahead, self.ledger_ahead[0]
         assert self.tracer.open_spans == 0
         roots = [
             s for s in self.tracer.finished_spans()
             if s.name == "request" and s.parent_id is None
         ]
-        assert len(roots) == stats.requests_submitted
+        assert len(roots) + self.tracer.sampled_out_traces == (
+            stats.requests_submitted
+        )
 
 
 class FarmLifecycle(_Lifecycle):
     def __init__(self) -> None:
         super().__init__()
         self.farm = SolverFarm(
-            workers=1, max_wait_ms=2.0, queue_depth=16, obs=self.tracer
+            workers=1,
+            max_wait_ms=2.0,
+            queue_depth=16,
+            max_sessions=1,
+            obs=self.tracer,
         )
         self.farm.register("ok", MATRIX, **SESSION_KWARGS)
+        self.farm.register("ok2", MATRIX, **SESSION_KWARGS)
         self.farm.register(
             "faulty",
             factory=fault_injecting_session_factory(
@@ -180,8 +207,7 @@ class FarmLifecycle(_Lifecycle):
             n_rows=MATRIX.n_rows,
         )
 
-    def _submit(self, b, *, deadline_ms=None, faulty=False):
-        key = "faulty" if faulty else "ok"
+    def _submit(self, b, *, deadline_ms=None, key="ok"):
         return self.farm.submit(key, b, deadline_ms=deadline_ms)
 
     def _stats(self):
@@ -201,7 +227,7 @@ class SessionLifecycle(_Lifecycle):
                 MATRIX, max_wait_ms=2.0, obs=self.tracer, **SESSION_KWARGS
             )
 
-    def _submit(self, b, *, deadline_ms=None, faulty=False):
+    def _submit(self, b, *, deadline_ms=None, key="ok"):
         return self.session.submit(b, deadline_ms=deadline_ms)
 
     def _stats(self):

@@ -17,7 +17,9 @@ The contract under test (see the README's "Failure semantics" section):
 * an operator with consecutive hard failures is quarantined by its
   circuit breaker and readmitted through a half-open probe;
 * at quiescence every telemetry sink satisfies
-  ``submitted == completed + failed``.
+  ``submitted == completed + failed``;
+* a request is counted and its span tree closed *before* its future
+  resolves, so a done-callback never sees the ledgers behind.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import pytest
 
 from repro.backends import get_backend
 from repro.matrices import laplace2d
+from repro.obs import Tracer
 from repro.preconditioners.base import Preconditioner
 from repro.serve import (
     CircuitBreaker,
@@ -234,6 +237,46 @@ class TestFutureResolutionRace:
         assert request.future.set_running_or_notify_cancel() is True
         assert request.future.cancel() is False  # standard Future semantics
         assert request.control.cancelled  # but the token is signalled
+
+
+# --------------------------------------------------------------------- #
+# ledgers move before the future resolves                               #
+# --------------------------------------------------------------------- #
+class TestLedgerBeforeResolution:
+    @pytest.mark.parametrize("front", ["session", "farm"])
+    def test_done_callback_sees_request_counted_and_traced(
+        self, matrix, rhs, front
+    ):
+        tracer = Tracer()
+        batching = dict(max_block=2, policy="block")
+        if front == "session":
+            service = make_session(
+                matrix, max_wait_ms=10_000.0, obs=tracer, **batching
+            )
+            submit, stats = service.submit, service.stats
+        else:
+            service = SolverFarm(workers=1, max_wait_ms=10_000.0, obs=tracer)
+            service.register("op", matrix, **SESSION_KWARGS, **batching)
+
+            def submit(b):
+                return service.submit("op", b)
+
+            def stats():
+                return service.stats().fleet
+
+        seen = []
+        # The long batching window holds the request until close() cuts
+        # it short, so the callback is attached before any dispatch.
+        future = submit(rhs)
+        future.add_done_callback(
+            lambda f: seen.append((stats(), tracer.open_spans))
+        )
+        service.close()  # drains: a width-1 dispatch
+        assert future.result(timeout=30).converged
+        ledger, open_spans = seen[0]
+        assert ledger.requests_submitted == 1
+        assert ledger.requests_completed + ledger.requests_failed == 1
+        assert open_spans == 0
 
 
 # --------------------------------------------------------------------- #
