@@ -4,9 +4,9 @@ pytest-benchmark modules import (:func:`run_once`, :func:`backend_context`,
 
 ``python benchmarks/_harness.py --<mode> [--out PATH]`` runs one or more
 modes.  Each writes a self-describing ``BENCH_<name>.json`` (schema
-``repro-bench/1``: environment stamps, a summary block, one entry per
-measurement) under ``benchmarks/results/``, or to ``--out`` when exactly
-one mode is selected.  The modes:
+``repro-bench/1``: the environment stamp of ``perfbench/env.py``, a
+summary block, one entry per measurement) under ``benchmarks/results/``,
+or to ``--out`` when exactly one mode is selected.  The modes:
 
 * ``--smoke`` — scaled-down Figure 1 and Figure 5 configurations with
   per-kernel wall times (``BENCH_smoke.json``).
@@ -60,7 +60,6 @@ import argparse
 import json
 import math
 import pathlib
-import platform
 import sys
 import threading
 import time
@@ -69,6 +68,7 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------- #
@@ -207,11 +207,14 @@ def write_bench_json(
     """Write ``BENCH_<name>.json`` under ``benchmarks/results/`` (or ``out``).
 
     Returns the path written.  The payload is self-describing: a schema
-    tag, environment stamps, an optional summary block and the
-    ``entries``.
+    tag, the repository benchmark's environment stamp (versions, BLAS
+    threads, cores and measured parallelism; see ``perfbench/env.py``),
+    an optional summary block and the ``entries``.  The stamp's input
+    fields name the mode; backend, seed and run length are per entry.
     """
-    import numpy
-    import scipy
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.append(str(REPO_ROOT))
+    from perfbench.env import stamp
 
     path = out or (RESULTS_DIR / f"BENCH_{name}.json")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -219,9 +222,10 @@ def write_bench_json(
         "schema": "repro-bench/1",
         "name": name,
         "created_unix": time.time(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "environment": stamp(
+            workload=name, backend=None, seed=None, seconds=None,
+            trace=False, malloc_arenas_pinned=False,
+        ),
         "entries": entries,
     }
     if summary:

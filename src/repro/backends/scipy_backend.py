@@ -5,8 +5,10 @@ routines in :mod:`scipy.sparse`, which are several times faster than the
 ``np.add.reduceat`` reference on the matrices the paper studies (the
 backend-comparison benchmark records the measured ratio in
 ``BENCH_backends.json``).  Dense and vector kernels are inherited from the
-NumPy reference — for tall-skinny GEMV, dot and axpy, NumPy already calls
-the same BLAS SciPy would.
+NumPy reference on purpose: numpy and scipy each ship their own OpenBLAS,
+and sending the GEMVs to ``scipy.linalg.blas`` made fp64 GMRES(50) on
+Laplace3D48 about 3x slower under default threading, because the two
+libraries' thread pools fight over the same cores.
 
 Two semantic guard rails keep the numerics interchangeable with the
 reference backend:

@@ -9,7 +9,10 @@ through the metered kernels.
 The storage is column-major (Fortran order) so that "the first ``j``
 columns" is a contiguous view — the same reason Kokkos uses LayoutLeft for
 these blocks — which keeps the NumPy GEMV calls cache-friendly per the
-HPC-Python guidance on memory layout.
+HPC-Python guidance on memory layout.  The block and its scratch vector
+are page-backed (:func:`~repro.linalg.pages.page_zeros`), so a dropped
+basis goes back to the operating system instead of staying on the malloc
+heap.
 """
 
 from __future__ import annotations
@@ -20,12 +23,16 @@ import numpy as np
 
 from ..precision import Precision, as_precision
 from . import kernels
+from .pages import page_zeros
 
 __all__ = ["MultiVector"]
 
 
 class MultiVector:
     """A fixed-capacity block of dense vectors in one precision.
+
+    The block starts zeroed and lives in its own memory mapping, released
+    to the operating system when the last view of it dies.
 
     Parameters
     ----------
@@ -44,10 +51,10 @@ class MultiVector:
             raise ValueError("length must be >= 0 and capacity positive")
         prec = as_precision(precision)
         self.precision: Precision = prec
-        self._block = np.zeros((length, capacity), dtype=prec.dtype, order="F")
+        self._block = page_zeros((length, capacity), prec.dtype, order="F")
         # Length-n scratch handed to the GEMV update kernel so the
         # subtraction/combination passes never allocate an intermediate.
-        self._work = np.empty(length, dtype=prec.dtype)
+        self._work = page_zeros(length, prec.dtype)
         self._count = 0
 
     # ------------------------------------------------------------------ #

@@ -514,17 +514,6 @@ class RequestTrace:
             )
         self.root = root
 
-    @classmethod
-    def rejected(cls, tracer: Tracer, outcome: str, **attrs: object) -> "RequestTrace":
-        """One-shot trace for a synchronous admission rejection.
-
-        Telemetry counts sync rejections as submitted *and* failed, so
-        the span ledger mirrors that with an immediately-closed tree.
-        """
-        trace = cls(tracer, **attrs)
-        trace.finish(outcome)
-        return trace
-
 
 # ---------------------------------------------------------------------- #
 # process-default tracer                                                 #

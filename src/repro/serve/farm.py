@@ -81,6 +81,7 @@ from .scheduler import (
     ServeResult,
     claimed,
     end,
+    own_exception,
     run_batch,
 )
 from .session import OperatorSession
@@ -522,7 +523,10 @@ class SolverFarm:
             )
             for request in doomed:
                 if claimed(request, sinks):
-                    end(request, sinks, "error", exc=exc, error=repr(exc))
+                    end(
+                        request, sinks, "error",
+                        exc=own_exception(exc), error=repr(exc),
+                    )
             self._feed_breaker(
                 tenant, BatchReport(width=len(doomed), exception=exc)
             )

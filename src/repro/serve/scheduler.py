@@ -42,6 +42,7 @@ demultiplexes the batch; and every request, served or not, ends through
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from collections import deque
@@ -73,6 +74,7 @@ __all__ = [
     "claimed",
     "complete_future",
     "fail_future",
+    "own_exception",
     "sweep_expired",
     "deadline_slack_seconds",
     "validate_rhs",
@@ -153,6 +155,26 @@ class ServeFuture(Future):
     def __init__(self, control: SolveControl) -> None:
         super().__init__()
         self.control = control
+        #: the stored exception and its traceback when it was stored
+        self._failure: Optional[Tuple[BaseException, object]] = None
+
+    def set_exception(self, exception: BaseException) -> None:
+        # Recorded before any reader can wake.
+        self._failure = (exception, exception.__traceback__)
+        super().set_exception(exception)
+
+    def result(self, timeout: Optional[float] = None):
+        """As :meth:`concurrent.futures.Future.result`, but the stored
+        exception is re-raised from its own raise site on every read:
+        without the reset each ``result()`` would stack that reader's
+        frames onto the exception's one traceback."""
+        try:
+            return super().result(timeout)
+        except BaseException as exc:
+            failure = self._failure
+            if failure is None or exc is not failure[0]:
+                raise  # a timeout or cancellation, not the stored exception
+            raise exc.with_traceback(failure[1])
 
     def cancel(self) -> bool:
         cancelled = super().cancel()
@@ -224,6 +246,22 @@ def fail_future(future: Future, exc: BaseException) -> bool:
         return True
     except InvalidStateError:
         return False
+
+
+def own_exception(exc: BaseException) -> BaseException:
+    """A copy of a batch's exception for one of the batch's futures.
+
+    The copy keeps the type clients catch and names the batch exception
+    as its ``__cause__`` (whose traceback shows where the batch failed),
+    so no two futures share one instance.  An exception whose constructor
+    rejects its own ``args`` cannot be copied and is shared as is.
+    """
+    try:
+        own = copy.copy(exc)
+    except Exception:  # noqa: BLE001 - an uncopyable type is shared instead
+        return exc
+    own.__cause__ = exc
+    return own
 
 
 def end(
@@ -751,7 +789,10 @@ def run_batch(
         if isinstance(sink, ServeTelemetry):
             sink.record_batch(width, block_iterations)
     for request in batch if report.exception is not None else ():
-        end(request, sinks, "error", exc=report.exception, error=repr(report.exception))
+        end(
+            request, sinks, "error",
+            exc=own_exception(report.exception), error=repr(report.exception),
+        )
     for request, result in zip(batch, results):
         end(request, sinks, result.status.value, result=result, iterations=result.iterations)
     return report

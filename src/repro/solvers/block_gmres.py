@@ -40,6 +40,7 @@ from ..config import get_config
 from ..linalg import kernels
 from ..linalg.dense import BlockGivensWorkspace
 from ..linalg.multivector import MultiVector
+from ..linalg.pages import page_zeros
 from ..obs.probe import ProbeEvent
 from ..ortho import BlockOrthogonalizationManager, make_block_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
@@ -74,7 +75,9 @@ class BlockGmresWorkspace:
     between cycles; all block buffers are sliced to the active width
     (leading columns of Fortran-ordered blocks stay contiguous), and the
     few width-dependent C-contiguous scratch blocks are cached per ``k``
-    (reallocated once per deflation event, never per iteration).
+    (reallocated once per deflation event, never per iteration).  Every
+    buffer whose size scales with ``n`` is page-backed, as in
+    :class:`~repro.solvers.gmres.GmresWorkspace`.
     """
 
     def __init__(self, n: int, restart: int, block_size: int, precision) -> None:
@@ -89,10 +92,10 @@ class BlockGmresWorkspace:
         self.givens = BlockGivensWorkspace(
             self.restart * self.block_size, self.block_size, dtype=dtype
         )
-        self.W = np.empty((n, self.block_size), dtype=dtype, order="F")
-        self.R = np.empty((n, self.block_size), dtype=dtype, order="F")
-        self.Z = np.empty((n, self.block_size), dtype=dtype, order="F")
-        self.update = np.empty((n, self.block_size), dtype=dtype, order="F")
+        self.W = page_zeros((n, self.block_size), dtype, order="F")
+        self.R = page_zeros((n, self.block_size), dtype, order="F")
+        self.Z = page_zeros((n, self.block_size), dtype, order="F")
+        self.update = page_zeros((n, self.block_size), dtype, order="F")
         #: per-(block step, column) implicit residual norms of the cycle
         self.implicit = np.empty((self.restart, self.block_size), dtype=np.float64)
         self._gemm_work: dict = {}
@@ -102,8 +105,8 @@ class BlockGmresWorkspace:
         """C-contiguous ``(n, k)`` scratch for the BLAS-3 update kernels."""
         buf = self._gemm_work.get(k)
         if buf is None:
-            buf = self._gemm_work[k] = np.empty(
-                (self.basis.length, k), dtype=self.precision.dtype
+            buf = self._gemm_work[k] = page_zeros(
+                (self.basis.length, k), self.precision.dtype
             )
         return buf
 

@@ -31,6 +31,7 @@ from ..config import get_config
 from ..linalg import kernels
 from ..linalg.dense import GivensWorkspace
 from ..linalg.multivector import MultiVector
+from ..linalg.pages import page_zeros
 from ..obs.probe import ProbeEvent
 from ..ortho import OrthogonalizationManager, make_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
@@ -86,6 +87,11 @@ class GmresWorkspace:
     ``update``/``z`` are handed out through :class:`CycleOutcome`, so the
     outcome of a cycle is only valid until the next cycle runs on the same
     workspace — every solver consumes it immediately.
+
+    The basis and the four length-``n`` vectors are page-backed
+    (:func:`~repro.linalg.pages.page_zeros`): when the workspace is
+    dropped their memory returns to the operating system, whatever the
+    allocator's thresholds.
     """
 
     def __init__(self, n: int, restart: int, precision) -> None:
@@ -94,10 +100,10 @@ class GmresWorkspace:
         self.basis = MultiVector(n, self.restart + 1, self.precision)
         self.givens = GivensWorkspace(self.restart, dtype=self.precision.dtype)
         dtype = self.precision.dtype
-        self.w = np.empty(n, dtype=dtype)
-        self.r = np.empty(n, dtype=dtype)
-        self.z = np.empty(n, dtype=dtype)
-        self.update = np.empty(n, dtype=dtype)
+        self.w = page_zeros(n, dtype)
+        self.r = page_zeros(n, dtype)
+        self.z = page_zeros(n, dtype)
+        self.update = page_zeros(n, dtype)
         self.hcol = np.empty(self.restart + 1, dtype=dtype)
 
     def storage_bytes(self) -> int:

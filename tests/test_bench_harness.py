@@ -148,6 +148,10 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro-bench/1"
         assert payload["name"] == "smoke"
+        # The full environment stamp of the repository benchmark.
+        environment = payload["environment"]
+        assert environment["workload"] == "smoke"
+        assert {"numpy", "scipy", "blas", "effective_parallelism"} <= set(environment)
         assert payload["entries"]
         assert {e["benchmark"] for e in payload["entries"]} == {
             "figure1_fd_laplace3d", "figure5_kernel_speedups"

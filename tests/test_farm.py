@@ -204,8 +204,11 @@ class TestFarmBasics:
             farm.register("good", matrix, **SESSION_KWARGS)
             doomed = farm.submit("bad", np.ones(matrix.n_rows))
             fine = farm.submit("good", np.ones(matrix.n_rows))
-            with pytest.raises(RuntimeError, match="warmup exploded"):
+            with pytest.raises(RuntimeError, match="warmup exploded") as info:
                 doomed.result(timeout=30)
+            # The future holds its own copy, chained to the warm-up error.
+            assert isinstance(info.value.__cause__, RuntimeError)
+            assert info.value.__cause__ is not info.value
             assert fine.result(timeout=30).converged
 
     def test_close_drains_queued_work(self, matrix):

@@ -221,15 +221,6 @@ class TestRequestTrace:
         names = {s.name for s in tracer.finished_spans()}
         assert names == {"request", "submit", "queued"}
 
-    def test_rejected_is_an_immediately_closed_tree(self):
-        tracer = Tracer()
-        RequestTrace.rejected(tracer, "rejected", reason="queue_full")
-        assert tracer.open_spans == 0
-        roots = [s for s in tracer.finished_spans() if s.name == "request"]
-        assert len(roots) == 1
-        assert roots[0].attrs["outcome"] == "rejected"
-        assert roots[0].attrs["reason"] == "queue_full"
-
 
 # ---------------------------------------------------------------------- #
 # Chrome trace-event export                                              #

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from repro.preconditioners import GmresPolynomialPreconditioner
 from repro.serve import (
     BatchingPolicy,
     OperatorSession,
+    RejectedError,
     ServeResult,
     ServeTelemetry,
 )
+from repro.serve.scheduler import PendingRequest, claimed, own_exception, run_batch
 from repro.solvers import SolverStatus, gmres, solve_many
 from repro.sparse import CsrMatrix
 
@@ -393,6 +396,42 @@ class TestFailureIsolation:
         stats = session.stats()
         assert stats.requests_completed == 2
         assert stats.requests_failed == 0
+
+    def test_failed_batch_gives_each_future_its_own_exception(
+        self, matrix, monkeypatch
+    ):
+        cause = RuntimeError("solver exploded")
+
+        def explode(*args, **kwargs):
+            raise cause
+
+        with make_session(matrix) as session:
+            monkeypatch.setattr(session, "_solve_block", explode)
+            batch = [PendingRequest(np.ones(matrix.n_rows)) for _ in range(2)]
+            assert all(claimed(request, ()) for request in batch)
+            report = run_batch(session, batch, ())
+        assert report.exception is cause
+        cause_depth = len(traceback.extract_tb(cause.__traceback__))
+
+        raised = []
+        for request in batch:
+            depths = []
+            for _ in range(3):
+                with pytest.raises(RuntimeError, match="solver exploded") as info:
+                    request.future.result(timeout=0)
+                depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+            assert depths == [depths[0]] * 3
+            raised.append(info.value)
+        first, second = raised
+        assert first is not second
+        assert first.__cause__ is cause and second.__cause__ is cause
+        assert len(traceback.extract_tb(cause.__traceback__)) == cause_depth
+
+    def test_uncopyable_batch_exception_is_shared(self):
+        # Keyword-only constructor arguments defeat copy.copy; the batch
+        # must still end, so such an exception is handed out as is.
+        cause = RejectedError("full", retry_after_ms=5.0)
+        assert own_exception(cause) is cause
 
 
 class TestDependentRhsBatch:
